@@ -42,21 +42,47 @@ struct ShardManager::Shard {
         const Runtime::Options& rt_options)
       : runtime(rt_options),
         network(make_k_network(factors, runtime)),
-        cnet(network),
-        local_tokens(&runtime.metrics().counter("service.shard.tokens")) {}
+        cnet(network) {}
 
   Runtime runtime;          // private tenant: own caches, metrics, pool
   Network network;          // owned storage — cnet references it
   ConcurrentNetwork cnet;
-  obs::Counter* local_tokens;      // shard runtime's registry
-  obs::Counter* home_tokens = nullptr;  // home registry, service.shardJ.*
-  std::atomic<std::uint64_t> epoch_tokens{0};  // scored by rebalance()
+};
+
+// The dispatch state. No token count is kept per shard: round-robin
+// dispatch fixes how many of the epoch's D tickets each shard routed, so
+// the token gauges derive every count from `dispatch`. Every token writes
+// `dispatch` and reads `active`, `base` and `offset`, which change only
+// in rebalance().
+struct ShardManager::Ledger {
+  Ledger(std::size_t shards, std::uint64_t dispatch_offset)
+      : offset(dispatch_offset), closed(shards) {}
+
+  /// Tokens shard `j` routed in the current epoch. Shard j serves the
+  /// residue class r with (r + offset) % active == j, so its round-robin
+  /// share is the r-th, not the j-th.
+  [[nodiscard]] std::uint64_t epoch_tokens(std::size_t j) const {
+    const std::size_t a = active.load(std::memory_order_acquire);
+    if (j >= a) return 0;
+    const std::size_t residue =
+        (j + a - static_cast<std::size_t>(offset % a)) % a;
+    return ceil_share(dispatch.load(std::memory_order_acquire), residue, a);
+  }
+
+  /// Tokens shard `j` routed since construction.
+  [[nodiscard]] std::uint64_t shard_tokens(std::size_t j) const {
+    return closed[j].load(std::memory_order_relaxed) + epoch_tokens(j);
+  }
+
+  std::atomic<std::uint64_t> dispatch{0};  // epoch-local ticket
+  std::atomic<std::size_t> active{0};
+  std::atomic<std::uint64_t> base{0};  // values handed out pre-epoch
+  const std::uint64_t offset;          // resolved dispatch offset
+  std::vector<std::atomic<std::uint64_t>> closed;  // per shard, past epochs
 };
 
 ShardManager::ShardManager(const Options& options, Runtime& rt)
     : options_(options),
-      active_(0),
-      tokens_counter_(&rt.metrics().counter("service.tokens")),
       rebalance_counter_(&rt.metrics().counter("service.rebalances")) {
   if (options_.shards == 0) {
     throw std::invalid_argument("ShardManager needs at least one shard");
@@ -69,9 +95,11 @@ ShardManager::ShardManager(const Options& options, Runtime& rt)
   // Resolve the dispatch start shard once: explicit option, else one
   // random draw per manager (NOT per call — the offset must be stable
   // within an epoch for the residue accounting to hold).
-  offset_ = options_.dispatch_offset.has_value()
-                ? *options_.dispatch_offset
-                : static_cast<std::uint64_t>(std::random_device{}());
+  ledger_ = std::make_shared<Ledger>(
+      options_.shards,
+      options_.dispatch_offset.has_value()
+          ? *options_.dispatch_offset
+          : static_cast<std::uint64_t>(std::random_device{}()));
   // Shard -> node placement on the home runtime's topology; prefix-
   // balanced so every active set spreads across nodes.
   const topo::HardwareTopology& topology = rt.topology();
@@ -89,16 +117,26 @@ ShardManager::ShardManager(const Options& options, Runtime& rt)
           topology.node_view(shard_nodes_[j]));
     }
     auto shard = std::make_unique<Shard>(options_.factors, shard_rt);
-    shard->home_tokens = &rt.metrics().counter(
-        "service.shard" + std::to_string(j) + ".tokens");
+    // The gauges capture the ledger, never `this`: the home registry may
+    // be sampled after the manager is gone.
+    const auto tokens = [ledger = ledger_, j] {
+      return ledger->shard_tokens(j);
+    };
+    rt.metrics().register_gauge(
+        "service.shard" + std::to_string(j) + ".tokens", tokens);
+    shard->runtime.metrics().register_gauge("service.shard.tokens", tokens);
     if (options_.visit_probe) shard->cnet.enable_visit_probe();
     shards_.push_back(std::move(shard));
   }
+  rt.metrics().register_gauge("service.tokens", [ledger = ledger_] {
+    return ledger->base.load(std::memory_order_relaxed) +
+           ledger->dispatch.load(std::memory_order_relaxed);
+  });
   const std::size_t initial =
       options_.initial_active == 0
           ? options_.shards
           : std::min(options_.initial_active, options_.shards);
-  active_.store(initial, std::memory_order_release);
+  ledger_->active.store(initial, std::memory_order_release);
 }
 
 ShardManager::~ShardManager() = default;
@@ -112,30 +150,29 @@ std::uint64_t ShardManager::next() {
 }
 
 std::uint64_t ShardManager::next_on(Wire wire) {
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  // active_ and base_ only move inside rebalance(), which requires
-  // in_flight_ == 0 — both are stable for the duration of this call.
-  const std::size_t active = active_.load(std::memory_order_acquire);
-  const std::uint64_t d = dispatch_.fetch_add(1, std::memory_order_acq_rel);
+  in_flight_.begin();
+  // active and base only move inside rebalance(), which requires
+  // quiescence — both are stable for the duration of this call.
+  Ledger& ledger = *ledger_;
+  const std::size_t active = ledger.active.load(std::memory_order_acquire);
+  const std::uint64_t d =
+      ledger.dispatch.fetch_add(1, std::memory_order_acq_rel);
   // The offset rotates which SHARD serves ticket d; the value residue
   // stays d % active so the composed values still cover exactly
   // {base .. base + D - 1} (see the header's composition argument).
-  const auto idx = static_cast<std::size_t>((d + offset_) % active);
+  const auto idx = static_cast<std::size_t>((d + ledger.offset) % active);
   Shard& shard = *shards_[idx];
-  const auto width = static_cast<std::uint64_t>(shard.network.width());
-  const ConcurrentNetwork::ExitEvent exit = shard.cnet.traverse(
-      static_cast<Wire>(static_cast<std::uint64_t>(
-                            wire < 0 ? -wire : wire) %
-                        width));
+  const auto width = static_cast<std::uint32_t>(shard.network.width());
+  // |wire| in unsigned arithmetic: negating the minimum Wire overflows.
+  const auto bits = static_cast<std::uint32_t>(wire);
+  const std::uint32_t magnitude = wire < 0 ? 0u - bits : bits;
+  const ConcurrentNetwork::ExitEvent exit =
+      shard.cnet.traverse(static_cast<Wire>(magnitude % width));
   const std::uint64_t local =
       static_cast<std::uint64_t>(exit.position) + width * exit.ticket;
-  const std::uint64_t value = base_.load(std::memory_order_relaxed) +
+  const std::uint64_t value = ledger.base.load(std::memory_order_relaxed) +
                               local * active + (d % active);
-  shard.epoch_tokens.fetch_add(1, std::memory_order_relaxed);
-  shard.local_tokens->add(1);
-  shard.home_tokens->add(1);
-  tokens_counter_->add(1);
-  in_flight_.fetch_sub(1, std::memory_order_release);
+  in_flight_.end();
   return value;
 }
 
@@ -145,35 +182,25 @@ void ShardManager::route(std::uint64_t n) {
     tls_cursor.value = thread_seq_.fetch_add(1, std::memory_order_relaxed);
     tls_cursor.initialized = true;
   }
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  const std::size_t active = active_.load(std::memory_order_acquire);
-  // Per-shard counts accumulate locally and flush once: the metric adds
-  // would otherwise be three more shared fetch-adds per token.
-  std::vector<std::uint64_t> per_shard(active, 0);
+  in_flight_.begin();
+  Ledger& ledger = *ledger_;
+  const std::size_t active = ledger.active.load(std::memory_order_acquire);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t d = dispatch_.fetch_add(1, std::memory_order_acq_rel);
-    const auto idx = static_cast<std::size_t>((d + offset_) % active);
+    const std::uint64_t d =
+        ledger.dispatch.fetch_add(1, std::memory_order_acq_rel);
+    const auto idx = static_cast<std::size_t>((d + ledger.offset) % active);
     Shard& shard = *shards_[idx];
     const auto width = static_cast<std::uint32_t>(shard.network.width());
     (void)shard.cnet.traverse(
         static_cast<Wire>(tls_cursor.value++ % width));
-    ++per_shard[idx];
   }
-  for (std::size_t idx = 0; idx < active; ++idx) {
-    if (per_shard[idx] == 0) continue;
-    Shard& shard = *shards_[idx];
-    shard.epoch_tokens.fetch_add(per_shard[idx], std::memory_order_relaxed);
-    shard.local_tokens->add(per_shard[idx]);
-    shard.home_tokens->add(per_shard[idx]);
-  }
-  tokens_counter_->add(n);
-  in_flight_.fetch_sub(1, std::memory_order_release);
+  in_flight_.end();
 }
 
 std::size_t ShardManager::shard_count() const { return shards_.size(); }
 
 std::size_t ShardManager::active_shards() const {
-  return active_.load(std::memory_order_acquire);
+  return ledger_->active.load(std::memory_order_acquire);
 }
 
 std::size_t ShardManager::shard_width() const {
@@ -181,20 +208,22 @@ std::size_t ShardManager::shard_width() const {
 }
 
 std::uint64_t ShardManager::dispatched() const {
-  return dispatch_.load(std::memory_order_acquire);
+  return ledger_->dispatch.load(std::memory_order_acquire);
 }
 
 std::uint64_t ShardManager::epoch_base() const {
-  return base_.load(std::memory_order_acquire);
+  return ledger_->base.load(std::memory_order_acquire);
+}
+
+std::uint64_t ShardManager::dispatch_offset() const {
+  return ledger_->offset;
 }
 
 std::uint64_t ShardManager::total() const {
   return epoch_base() + dispatched();
 }
 
-std::uint64_t ShardManager::in_flight() const {
-  return in_flight_.load(std::memory_order_acquire);
-}
+std::uint64_t ShardManager::in_flight() const { return in_flight_.count(); }
 
 void ShardManager::quiesce() const {
   while (in_flight() != 0) std::this_thread::yield();
@@ -220,18 +249,12 @@ std::vector<std::uint64_t> ShardManager::shard_gate_visits(
 
 ShardManager::LinearityReport ShardManager::verify_linearity() const {
   LinearityReport report;
-  const std::uint64_t total = dispatched();
   const std::size_t active = active_shards();
   for (std::size_t j = 0; j < shards_.size(); ++j) {
     const std::vector<Count> counts = shard_output_counts(j);
     std::uint64_t routed = 0;
     for (const Count c : counts) routed += static_cast<std::uint64_t>(c);
-    // Shard j serves the residue class r with (r + offset) % active == j,
-    // so its round-robin share is the r-th, not the j-th.
-    const std::size_t residue =
-        (j + active - static_cast<std::size_t>(offset_ % active)) % active;
-    const std::uint64_t expected =
-        j < active ? ceil_share(total, residue, active) : 0;
+    const std::uint64_t expected = ledger_->epoch_tokens(j);
     if (routed != expected) {
       report.detail = "shard " + std::to_string(j) + " routed " +
                       std::to_string(routed) + " tokens, expected " +
@@ -301,8 +324,7 @@ ShardManager::RebalanceDecision ShardManager::rebalance() {
   // model covers probe-less deployments.
   for (std::size_t j = 0; j < decision.active_before; ++j) {
     Shard& shard = *shards_[j];
-    const std::uint64_t tokens =
-        shard.epoch_tokens.load(std::memory_order_acquire);
+    const std::uint64_t tokens = ledger_->epoch_tokens(j);
     double hottest = 0.0;
     const std::vector<std::uint64_t> visits = shard.cnet.gate_visits();
     if (!visits.empty() && tokens > 0) {
@@ -325,16 +347,19 @@ ShardManager::RebalanceDecision ShardManager::rebalance() {
   decision.active_after = next_active;
   decision.nodes_after = distinct_nodes(next_active);
 
-  // Close the epoch: everything dispatched so far is handed out, the next
-  // epoch's values start past it, and the shards restart from zero so
-  // shard-local step properties become epoch-local.
-  base_.fetch_add(dispatch_.exchange(0, std::memory_order_acq_rel),
-                  std::memory_order_acq_rel);
-  for (auto& shard : shards_) {
-    shard->cnet.reset();
-    shard->epoch_tokens.store(0, std::memory_order_release);
+  // Close the epoch: each shard's share joins its closed total, everything
+  // dispatched so far is handed out, the next epoch's values start past
+  // it, and the shards restart from zero so shard-local step properties
+  // become epoch-local.
+  for (std::size_t j = 0; j < shards_.size(); ++j) {
+    ledger_->closed[j].fetch_add(ledger_->epoch_tokens(j),
+                                 std::memory_order_relaxed);
+    shards_[j]->cnet.reset();
   }
-  active_.store(next_active, std::memory_order_release);
+  ledger_->base.fetch_add(
+      ledger_->dispatch.exchange(0, std::memory_order_acq_rel),
+      std::memory_order_acq_rel);
+  ledger_->active.store(next_active, std::memory_order_release);
   if (next_active != decision.active_before) rebalance_counter_->add(1);
   return decision;
 }

@@ -35,8 +35,12 @@
 // spread over the machine and each shard's private pool stays inside its
 // node (node_view). rebalance() reports the node spread of its decisions.
 // The cost of composition is that one dispatch word (every token touches
-// it once); the payoff is depth(w) + 1 fetch-adds per token instead of
-// depth(N * w) — for 4 shards of K(2^4), 13 instead of 35.
+// it once); the payoff is depth(w) balancer fetch-adds per token instead
+// of depth(N * w) — for 4 shards of K(2^4), 12 instead of 35. With the
+// dispatch ticket and the exit counter a token pays 14 shared RMWs in
+// all; its in-flight brackets land on per-thread stripes, and no metric
+// word is written per token (the token series are gauges derived from
+// the dispatch ticket).
 //
 // Elasticity: the active-shard count A changes only at epoch boundaries
 // (rebalance(), which requires quiescence). The policy is fed by the
@@ -51,8 +55,8 @@
 // Quiescence contract: rebalance(), shard_output_counts() and
 // verify_linearity() are only valid with no in-flight next()/route()
 // calls; quiesce() spin-waits for that state, and checked builds
-// (SCNET_CHECKED) throw std::logic_error on violations, mirroring
-// ConcurrentNetwork's own guard.
+// (SCNET_CHECKED, the default) throw std::logic_error on violations,
+// mirroring ConcurrentNetwork's own guard.
 #pragma once
 
 #include <atomic>
@@ -65,6 +69,7 @@
 #include "count/fetch_inc.h"
 #include "runtime/runtime.h"
 #include "sim/concurrent_sim.h"
+#include "sim/in_flight.h"
 
 namespace scn {
 
@@ -103,10 +108,13 @@ class ShardManager final : public FetchIncCounter {
     bool node_affine = true;
   };
 
-  /// `rt` is the service's home runtime: the `service.*` counters publish
+  /// `rt` is the service's home runtime: the `service.*` metrics publish
   /// into its MetricsRegistry (so `--metrics` on the caller's runtime sees
   /// them). Each shard additionally owns a private Runtime whose registry
-  /// carries that shard's `service.shard.tokens` series.
+  /// carries that shard's `service.shard.tokens` gauge. The token gauges
+  /// hold the dispatch ledger, not the manager, so they stay valid in a
+  /// registry that outlives it; a later manager on the same home runtime
+  /// replaces them.
   explicit ShardManager(const Options& options,
                         Runtime& rt = Runtime::shared());
   ~ShardManager() override;
@@ -152,7 +160,7 @@ class ShardManager final : public FetchIncCounter {
   [[nodiscard]] std::size_t shard_node(std::size_t shard) const;
   /// The dispatch offset resolved at construction (Options::dispatch_offset
   /// or the per-manager random draw).
-  [[nodiscard]] std::uint64_t dispatch_offset() const { return offset_; }
+  [[nodiscard]] std::uint64_t dispatch_offset() const;
   /// Quiescent per-position exit counts of shard `shard`'s network.
   [[nodiscard]] std::vector<Count> shard_output_counts(
       std::size_t shard) const;
@@ -194,17 +202,16 @@ class ShardManager final : public FetchIncCounter {
 
  private:
   struct Shard;
+  struct Ledger;
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::size_t> shard_nodes_;  // topo node per shard
-  std::uint64_t offset_ = 0;              // resolved dispatch offset
-  std::atomic<std::size_t> active_;
-  std::atomic<std::uint64_t> dispatch_{0};  // epoch-local round-robin ticket
-  std::atomic<std::uint64_t> base_{0};      // values handed out pre-epoch
-  std::atomic<std::uint64_t> in_flight_{0};
+  // Dispatch state, shared with the token gauges so a registry that
+  // outlives the manager can still sample them.
+  std::shared_ptr<Ledger> ledger_;
+  InFlight in_flight_;
   std::atomic<std::uint32_t> thread_seq_{0};  // entry-wire spreading
-  obs::Counter* tokens_counter_;      // service.tokens (home registry)
   obs::Counter* rebalance_counter_;   // service.rebalances
 };
 

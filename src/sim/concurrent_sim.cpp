@@ -13,29 +13,53 @@
 namespace scn {
 
 ConcurrentNetwork::ConcurrentNetwork(const Network& net)
-    : linked_(net),
+    : net_(&net),
       gate_state_(std::make_unique<PaddedCounter[]>(net.gate_count())),
-      exit_counts_(std::make_unique<PaddedCounter[]>(net.width())) {}
+      exit_counts_(std::make_unique<PaddedCounter[]>(net.width())) {
+  // One reverse pass: `upcoming[w]` is where a token on physical wire w
+  // goes next, starting from the exit it would leave on and moving back
+  // to each earlier gate that touches w. What is left is the entry table.
+  const auto gates = net.gates();
+  std::vector<Hop> upcoming(net.width());
+  for (std::size_t w = 0; w < upcoming.size(); ++w) {
+    upcoming[w].exit_position =
+        static_cast<std::uint32_t>(net.output_position(static_cast<Wire>(w)));
+  }
+  gates_.resize(gates.size());
+  hops_.resize(net.wire_endpoint_count());
+  for (std::size_t gi = gates.size(); gi-- > 0;) {
+    const Gate& g = gates[gi];
+    const bool pow2 = (g.width & (g.width - 1)) == 0;
+    gates_[gi] = {g.first, g.width, pow2 ? g.width - 1 : 0};
+    const auto ws = net.gate_wires(g);
+    for (std::size_t s = 0; s < ws.size(); ++s) {
+      const auto w = static_cast<std::size_t>(ws[s]);
+      hops_[g.first + s] = upcoming[w];
+      upcoming[w] = {static_cast<std::int32_t>(gi), 0};
+    }
+  }
+  entry_ = std::move(upcoming);
+}
 
 // The quiescence guard: reset() and output_counts() are only valid with no
-// token inside traverse(), but nothing used to check it. Checked builds
-// track an in-flight count (one more contended word per token — acceptable
-// exactly where the wire contracts are already validated); release builds
-// compile the tracking out so the hot path is untouched.
+// token inside traverse(). Builds with SCNET_CHECKED (the default, Release
+// included) track the tokens in flight on per-thread stripes, so the guard
+// costs two uncontended fetch-adds per token; builds without it compile
+// the tracking out.
 void ConcurrentNetwork::begin_token() {
 #ifdef SCNET_CHECKED
-  in_flight_.value.fetch_add(1, std::memory_order_acq_rel);
+  in_flight_.begin();
 #endif
 }
 
 void ConcurrentNetwork::end_token() {
 #ifdef SCNET_CHECKED
-  in_flight_.value.fetch_sub(1, std::memory_order_acq_rel);
+  in_flight_.end();
 #endif
 }
 
 std::uint64_t ConcurrentNetwork::in_flight() const {
-  return in_flight_.value.load(std::memory_order_acquire);
+  return in_flight_.count();
 }
 
 void ConcurrentNetwork::check_quiescent(const char* what) const {
@@ -53,25 +77,23 @@ void ConcurrentNetwork::check_quiescent(const char* what) const {
 
 ConcurrentNetwork::ExitEvent ConcurrentNetwork::traverse(Wire in) {
   begin_token();
-  const Network& net = linked_.network();
-  std::int32_t gate = linked_.entry_gate(in);
-  Wire wire = in;
+  Hop hop = entry_[static_cast<std::size_t>(in)];
   // Raw pointer hoisted out of the loop: the probe branch is one
   // well-predicted test per hop when disabled (the common case).
   PaddedCounter* const probe = visit_counts_.get();
-  while (gate != LinkedNetwork::kExit) {
-    const auto g = static_cast<std::size_t>(gate);
-    const std::uint32_t p = net.gates()[g].width;
+  while (hop.next_gate != Hop::kExit) {
+    const auto g = static_cast<std::size_t>(hop.next_gate);
+    const GateEntry gate = gates_[g];
     if (probe != nullptr) {
       probe[g].value.fetch_add(1, std::memory_order_relaxed);
     }
     const std::uint64_t ticket =
         gate_state_[g].value.fetch_add(1, std::memory_order_acq_rel);
-    const auto slot = static_cast<std::size_t>(ticket % p);
-    wire = linked_.slot_wire(g, slot);
-    gate = linked_.next_gate(g, slot);
+    const std::uint64_t slot =
+        gate.mask != 0 ? ticket & gate.mask : ticket % gate.width;
+    hop = hops_[gate.first + slot];
   }
-  const std::size_t pos = net.output_position(wire);
+  const std::size_t pos = hop.exit_position;
   const std::uint64_t ticket =
       exit_counts_[pos].value.fetch_add(1, std::memory_order_acq_rel);
   end_token();

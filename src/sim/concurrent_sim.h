@@ -9,6 +9,13 @@
 // ConcurrentNetwork is safe for any number of threads. Balancer state is a
 // 64-bit counter (no wraparound in practice); false sharing is avoided by
 // padding each balancer to a cache line.
+//
+// The traversal is compiled at construction, the way ExecutionPlan compiles
+// the batch engine's schedule: one flat table gives each gate its first
+// slot, width and (for power-of-two widths) the mask that replaces the
+// `ticket % width` division, and each gate slot and entry wire its next
+// gate or, on the last hop, its logical exit position. A token reads
+// nothing else between its fetch-adds.
 #pragma once
 
 #include <atomic>
@@ -17,8 +24,9 @@
 #include <span>
 #include <vector>
 
-#include "net/linked_network.h"
+#include "net/network.h"
 #include "seq/sequence_props.h"
+#include "sim/in_flight.h"
 #include "sim/schedule.h"
 
 namespace scn {
@@ -49,7 +57,7 @@ class ConcurrentNetwork {
   /// std::logic_error when tokens are still in flight (see in_flight()).
   [[nodiscard]] std::vector<Count> output_counts() const;
 
-  [[nodiscard]] const Network& network() const { return linked_.network(); }
+  [[nodiscard]] const Network& network() const { return *net_; }
 
   /// Resets all balancer and exit state (requires quiescence — enforced
   /// with a std::logic_error under SCNET_CHECKED, like output_counts()).
@@ -57,10 +65,10 @@ class ConcurrentNetwork {
   void reset();
 
   /// Tokens currently inside traverse() (or externally marked via
-  /// begin_token()). Always 0 when the library was built without
-  /// SCNET_CHECKED — the tracking word would be one more contended
-  /// cache line on the hot path, so it exists only in checked builds
-  /// (builder_checks_enabled() reports which one you have).
+  /// begin_token()). The guard runs in every build with SCNET_CHECKED
+  /// (the default, Release included; builder_checks_enabled() reports
+  /// it) and is always 0 without it. Its count is striped per thread
+  /// (sim/in_flight.h), so it adds no shared cache line to the hot path.
   [[nodiscard]] std::uint64_t in_flight() const;
 
   /// Marks an externally managed token as in flight / done, extending the
@@ -92,13 +100,32 @@ class ConcurrentNetwork {
     std::atomic<std::uint64_t> value{0};
   };
 
+  /// Where a token goes next: gate `next_gate`, or out on logical output
+  /// `exit_position` when next_gate is kExit.
+  struct Hop {
+    static constexpr std::int32_t kExit = -1;
+    std::int32_t next_gate = kExit;
+    std::uint32_t exit_position = 0;
+  };
+
+  /// A gate's slots are hops_[first, first + width). `mask` is width - 1
+  /// for power-of-two widths and 0 otherwise (every gate has width >= 2).
+  struct GateEntry {
+    std::uint32_t first = 0;
+    std::uint32_t width = 0;
+    std::uint32_t mask = 0;
+  };
+
   void check_quiescent(const char* what) const;
 
-  LinkedNetwork linked_;
+  const Network* net_;
+  std::vector<GateEntry> gates_;
+  std::vector<Hop> hops_;   // per gate slot, parallel to gate wires
+  std::vector<Hop> entry_;  // per physical input wire
   std::unique_ptr<PaddedCounter[]> gate_state_;
   std::unique_ptr<PaddedCounter[]> exit_counts_;  // by logical position
   std::unique_ptr<PaddedCounter[]> visit_counts_;  // null until enabled
-  PaddedCounter in_flight_;  // only advanced under SCNET_CHECKED
+  InFlight in_flight_;  // only advanced under SCNET_CHECKED
 };
 
 struct ConcurrentRunResult {

@@ -1,14 +1,21 @@
 // Real multithreaded traversal: quiescent outputs match count propagation,
-// the step property holds, resets work, and the arrival-schedule
-// generators (sim/schedule.h) are deterministic and step-preserving.
+// the step property holds, resets work, the compiled traversal table walks
+// exactly like the linked view it replaces, the striped quiescence guard
+// is exact, and the arrival-schedule generators (sim/schedule.h) are
+// deterministic and step-preserving.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <numeric>
+#include <random>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "core/k_network.h"
 #include "core/l_network.h"
+#include "net/linked_network.h"
 #include "sim/concurrent_sim.h"
 #include "sim/count_sim.h"
 #include "sim/schedule.h"
@@ -82,6 +89,134 @@ TEST(ConcurrentSim, ManyThreadsSmallNetwork) {
       std::max(8u, 2 * std::thread::hardware_concurrency());
   const ConcurrentRunResult res = run_concurrent(cn, threads, 1000, 3);
   EXPECT_TRUE(is_exact_step_output(res.outputs));
+}
+
+// The uncompiled traversal: follows LinkedNetwork hop by hop with a plain
+// `ticket % width` at every gate. ConcurrentNetwork's flat table must
+// reproduce it exactly.
+class ReferenceWalker {
+ public:
+  explicit ReferenceWalker(const Network& net)
+      : linked_(net),
+        tickets_(net.gate_count(), 0),
+        exits_(net.width(), 0),
+        visits_(net.gate_count(), 0) {}
+
+  std::pair<std::size_t, std::uint64_t> traverse(Wire in) {
+    const Network& net = linked_.network();
+    std::int32_t gate = linked_.entry_gate(in);
+    Wire wire = in;
+    while (gate != LinkedNetwork::kExit) {
+      const auto g = static_cast<std::size_t>(gate);
+      ++visits_[g];
+      const std::size_t slot = tickets_[g]++ % net.gates()[g].width;
+      wire = linked_.slot_wire(g, slot);
+      gate = linked_.next_gate(g, slot);
+    }
+    const std::size_t pos = net.output_position(wire);
+    return {pos, exits_[pos]++};
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& visits() const {
+    return visits_;
+  }
+
+ private:
+  LinkedNetwork linked_;
+  std::vector<std::uint64_t> tickets_;
+  std::vector<std::uint64_t> exits_;
+  std::vector<std::uint64_t> visits_;
+};
+
+// Wires 1, 3 and 6 are touched by no gate; the others cross gates of
+// widths 3, 2 and 4 under a non-identity output order.
+Network network_with_untouched_wires() {
+  NetworkBuilder b(7);
+  b.add_balancer({0, 2, 4});
+  b.add_balancer({2, 4});
+  b.add_balancer({5, 0, 4, 2});
+  return std::move(b).finish({6, 5, 4, 3, 2, 1, 0});
+}
+
+TEST(ConcurrentSim, CompiledTraversalMatchesLinkedWalk) {
+  const std::vector<Network> sweep = {
+      make_k_network({2, 2, 2, 2}), make_k_network({3, 5}),
+      make_k_network({2, 3, 2}),    make_l_network({3, 2, 2}),
+      make_k_network({4, 4}),       network_with_untouched_wires()};
+  bool saw_pow2 = false;
+  bool saw_other = false;
+  for (const Network& net : sweep) {
+    for (const Gate& g : net.gates()) {
+      ((g.width & (g.width - 1)) == 0 ? saw_pow2 : saw_other) = true;
+    }
+    ConcurrentNetwork cn(net);
+    cn.enable_visit_probe();
+    ReferenceWalker ref(net);
+    std::mt19937 rng(17);
+    std::uniform_int_distribution<Wire> wire(
+        0, static_cast<Wire>(net.width() - 1));
+    for (int i = 0; i < 40 * static_cast<int>(net.width()); ++i) {
+      const Wire in = wire(rng);
+      const ConcurrentNetwork::ExitEvent got = cn.traverse(in);
+      const auto want = ref.traverse(in);
+      ASSERT_EQ(got.position, want.first)
+          << "width " << net.width() << " token " << i << " wire " << in;
+      ASSERT_EQ(got.ticket, want.second)
+          << "width " << net.width() << " token " << i << " wire " << in;
+    }
+    EXPECT_EQ(cn.gate_visits(), ref.visits()) << "width " << net.width();
+  }
+  // Both slot reductions ran: `& mask` and `% width`.
+  EXPECT_TRUE(saw_pow2);
+  EXPECT_TRUE(saw_other);
+}
+
+TEST(ConcurrentSim, StripedGuardIsExactAtQuiescence) {
+  if (!builder_checks_enabled()) {
+    GTEST_SKIP() << "library built without SCNET_CHECKED";
+  }
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kTokens = 500;
+  const Network net = make_k_network({2, 2, 2});
+  ConcurrentNetwork cn(net);
+  std::latch begun(kThreads + 1);
+  std::latch release(1);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kTokens; ++i) {
+        cn.begin_token();
+        (void)cn.traverse(static_cast<Wire>((t + i) % net.width()));
+      }
+      begun.count_down();
+      release.wait();
+      for (std::uint64_t i = 0; i < kTokens; ++i) cn.end_token();
+    });
+  }
+  begun.arrive_and_wait();
+  EXPECT_EQ(cn.in_flight(), kThreads * kTokens);
+  EXPECT_THROW((void)cn.output_counts(), std::logic_error);
+  release.count_down();
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(cn.in_flight(), 0u);
+  const std::vector<Count> outputs = cn.output_counts();
+  EXPECT_EQ(std::accumulate(outputs.begin(), outputs.end(), Count{0}),
+            static_cast<Count>(kThreads * kTokens));
+  EXPECT_TRUE(is_exact_step_output(outputs));
+
+  // A token may begin on one thread and end on another: the stripes wrap,
+  // and their sum is still exact once every token has ended.
+  std::vector<std::thread> starters;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    starters.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kTokens; ++i) cn.begin_token();
+    });
+  }
+  for (auto& th : starters) th.join();
+  EXPECT_EQ(cn.in_flight(), kThreads * kTokens);
+  for (std::uint64_t i = 0; i < kThreads * kTokens; ++i) cn.end_token();
+  EXPECT_EQ(cn.in_flight(), 0u);
+  cn.reset();
 }
 
 TEST(Schedule, ParseAndPrintRoundTrip) {
@@ -203,9 +338,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          ScheduleKind::kAdversarial),
                        ::testing::Values(std::size_t{2}, std::size_t{4},
                                          std::size_t{8})),
-    [](const auto& info) {
-      return std::string(to_string(std::get<0>(info.param))) + "_x" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return std::string(to_string(std::get<0>(param_info.param))) + "_x" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 }  // namespace

@@ -8,12 +8,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/high_level.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "service/front_end.h"
 #include "service/saturate.h"
@@ -214,6 +217,119 @@ TEST(ShardManagerTest, MetricsPublishIntoHomeRegistry) {
             5u);
 }
 
+TEST(ShardManagerTest, NextOnReducesExtremeWires) {
+  // next_on() takes any Wire modulo the shard width, the most negative one
+  // included (negating it as a signed value would overflow).
+  Runtime rt;
+  ShardManager service(
+      ShardManager::Options{.shards = 2, .dispatch_offset = 0}, rt);
+  std::vector<std::uint64_t> got = {
+      service.next_on(std::numeric_limits<Wire>::min()),
+      service.next_on(std::numeric_limits<Wire>::max()),
+      service.next_on(std::numeric_limits<Wire>::min() + 1),
+      service.next_on(-1)};
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, iota_values(0, 4));
+  const auto report = service.verify_linearity();
+  EXPECT_TRUE(report.ok) << report.detail;
+}
+
+TEST(ShardManagerTest, TokenGaugesSumQuiescentOutputsAcrossEpochs) {
+  // The per-shard token gauges are derived from the dispatch ticket, not
+  // counted per token. Across a grow and a shrink epoch and an open one,
+  // each must equal the sum of that shard's quiescent outputs per epoch.
+  Runtime rt;
+  ShardManager::Options opts;
+  opts.shards = 3;
+  opts.initial_active = 1;
+  opts.grow_score = 100.0;
+  opts.shrink_score = 10.0;
+  opts.dispatch_offset = 1;  // shard j serves residue (j - 1) mod A
+  ShardManager service(opts, rt);
+  std::vector<std::uint64_t> expected(opts.shards, 0);
+  const auto add_outputs = [&] {
+    for (std::size_t j = 0; j < service.shard_count(); ++j) {
+      for (const Count c : service.shard_output_counts(j)) {
+        expected[j] += static_cast<std::uint64_t>(c);
+      }
+    }
+  };
+
+  std::vector<std::thread> pool;
+  for (int t = 0; t < 4; ++t) {
+    pool.emplace_back([&] {
+      for (int i = 0; i < 400; ++i) (void)service.next();
+      service.route(100);
+    });
+  }
+  for (auto& th : pool) th.join();
+  add_outputs();
+  EXPECT_EQ(service.rebalance().active_after, 2u);
+
+  for (int i = 0; i < 4; ++i) (void)service.next();
+  service.route(3);
+  add_outputs();
+  EXPECT_EQ(service.rebalance().active_after, 1u);
+
+  service.route(11);
+  for (int i = 0; i < 6; ++i) (void)service.next();
+  add_outputs();
+
+  std::uint64_t total = 0;
+  for (std::size_t j = 0; j < opts.shards; ++j) {
+    const std::string home = "service.shard" + std::to_string(j) + ".tokens";
+    EXPECT_EQ(rt.metrics().value(home), expected[j]) << home;
+    EXPECT_EQ(service.shard_runtime(j).metrics().value("service.shard.tokens"),
+              expected[j])
+        << "shard " << j;
+    total += expected[j];
+  }
+  EXPECT_EQ(total, 2000u + 7u + 17u);
+  EXPECT_EQ(rt.metrics().value("service.tokens"), total);
+  EXPECT_EQ(service.total(), total);
+}
+
+TEST(ShardManagerTest, TokenGaugesOutliveTheManager) {
+  // The gauges hold the manager's ledger, not the manager: a home registry
+  // sampled after the manager is gone reads the final counts.
+  Runtime rt;
+  {
+    ShardManager service(ShardManager::Options{.shards = 2}, rt);
+    for (int i = 0; i < 10; ++i) (void)service.next();
+    service.route(4);
+  }
+  std::size_t gauges = 0;
+  for (const obs::MetricSample& s : rt.metrics().snapshot()) {
+    if (s.name == "service.tokens") {
+      EXPECT_EQ(s.kind, obs::MetricKind::kGauge);
+      EXPECT_EQ(s.value, 14u);
+      ++gauges;
+    } else if (s.name == "service.shard0.tokens" ||
+               s.name == "service.shard1.tokens") {
+      EXPECT_EQ(s.kind, obs::MetricKind::kGauge);
+      EXPECT_EQ(s.value, 7u) << s.name;
+      ++gauges;
+    }
+  }
+  EXPECT_EQ(gauges, 3u);
+}
+
+TEST(ShardManagerTest, QuiesceWaitsOutAnInFlightRoute) {
+  Runtime rt;
+  ShardManager service(ShardManager::Options{.shards = 2}, rt);
+  constexpr std::uint64_t kTokens = 50000;
+  std::thread router([&] { service.route(kTokens); });
+  // Once a ticket is out, route() has begun and quiesce() must wait for
+  // all of it.
+  while (service.dispatched() == 0) std::this_thread::yield();
+  service.quiesce();
+  EXPECT_EQ(service.in_flight(), 0u);
+  EXPECT_EQ(service.dispatched(), kTokens);
+  router.join();
+  const auto report = service.verify_linearity();
+  EXPECT_TRUE(report.ok) << report.detail;
+}
+
 TEST(ShardManagerTest, RebalanceGrowsUnderLoadAndShrinksWhenIdle) {
   Runtime rt;
   ShardManager::Options opts;
@@ -380,8 +496,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchedules, SaturationScheduleTest,
                                            ScheduleKind::kBursty,
                                            ScheduleKind::kSkewed,
                                            ScheduleKind::kAdversarial),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
+                         [](const auto& param_info) {
+                           return std::string(to_string(param_info.param));
                          });
 
 TEST(SaturationTest, AsyncDrainsToQuiescence) {
