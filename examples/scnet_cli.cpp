@@ -506,7 +506,7 @@ int cmd_optimize(Runtime& rt, const Network& net, int argc, char** argv) {
                net.gate_count(), result.network.gate_count(), net.depth(),
                result.network.depth(),
                static_cast<unsigned long long>(
-                   structural_hash(result.network)));
+                   result.network.structural_hash()));
   if (stats) {
     // Route the same (network, pipeline) pair through the runtime's plan
     // cache so the report reflects this invocation, then print the unified

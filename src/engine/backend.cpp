@@ -22,8 +22,8 @@ namespace {
 // cache-blocked over the lane dimension, with a layer-major traced twin —
 // but the width-2 inner loops go through the explicit kernels in
 // engine/simd_kernels.h instead of relying on auto-vectorization. Wide
-// count gates keep the scalar sum-then-redistribute loops: they are
-// row-wise over lanes and carry no compare-exchange to hand-vectorize.
+// count gates share the batch tier's row kernel (engine::wide_count_rows):
+// they carry no compare-exchange to hand-vectorize.
 
 // Same blocking rationale as batch_engine.cpp: 256 lanes x 8 bytes = 2 KB
 // per row segment keeps the plan's row revisits in cache.
@@ -51,7 +51,7 @@ void simd_comparator_layer(const ExecutionPlan& plan,
 void simd_count_layer(const ExecutionPlan& plan,
                       const ExecutionPlan::Layer& layer, Batch<Count>& batch,
                       std::size_t block_begin, std::size_t block_end,
-                      std::vector<Count>& totals) {
+                      std::span<Count> scratch) {
   const auto& pairs = plan.pair_wires();
   const auto& wides = plan.wide_gates();
   const auto& wide_wires = plan.wide_wires();
@@ -63,23 +63,8 @@ void simd_count_layer(const ExecutionPlan& plan,
   }
   for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
     const ExecutionPlan::WideGate wg = wides[g];
-    const Wire* ws = wide_wires.data() + wg.first;
-    const auto p = static_cast<Count>(wg.width);
-    std::fill(totals.begin(), totals.begin() + static_cast<std::ptrdiff_t>(n),
-              Count{0});
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      const Count* row =
-          batch.row(static_cast<std::size_t>(ws[i])).data() + block_begin;
-      for (std::size_t j = 0; j < n; ++j) totals[j] += row[j];
-    }
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      Count* row =
-          batch.row(static_cast<std::size_t>(ws[i])).data() + block_begin;
-      const Count bias = p - 1 - static_cast<Count>(i);
-      // counts are non-negative, so totals[j] + bias >= 0: plain division
-      // implements ceil((total - i) / p), same as the batch tier.
-      for (std::size_t j = 0; j < n; ++j) row[j] = (totals[j] + bias) / p;
-    }
+    wide_count_rows(batch, {wide_wires.data() + wg.first, wg.width},
+                    block_begin, n, scratch);
   }
 }
 
@@ -95,14 +80,14 @@ void simd_comparator_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
 
 void simd_count_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
                       std::size_t lane_begin, std::size_t lane_end) {
-  std::vector<Count> totals(
+  std::vector<Count> scratch(
       plan.wide_gates().empty()
           ? 0
-          : std::min<std::size_t>(kSimdExecBlock, lane_end - lane_begin));
+          : 2 * std::min<std::size_t>(kSimdExecBlock, lane_end - lane_begin));
   for (std::size_t b = lane_begin; b < lane_end; b += kSimdExecBlock) {
     const std::size_t e = std::min(b + kSimdExecBlock, lane_end);
     for (const ExecutionPlan::Layer& layer : plan.layers()) {
-      simd_count_layer(plan, layer, batch, b, e, totals);
+      simd_count_layer(plan, layer, batch, b, e, scratch);
     }
   }
 }
@@ -133,13 +118,13 @@ void simd_comparator_lanes_traced(const ExecutionPlan& plan,
 
 void simd_count_lanes_traced(const ExecutionPlan& plan, Batch<Count>& batch,
                              std::size_t lane_begin, std::size_t lane_end) {
-  std::vector<Count> totals(
-      plan.wide_gates().empty() ? 0 : lane_end - lane_begin);
+  std::vector<Count> scratch(
+      plan.wide_gates().empty() ? 0 : 2 * (lane_end - lane_begin));
   std::size_t li = 0;
   for (const ExecutionPlan::Layer& layer : plan.layers()) {
     obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
                          simd_layer_args(layer, lane_end - lane_begin));
-    simd_count_layer(plan, layer, batch, lane_begin, lane_end, totals);
+    simd_count_layer(plan, layer, batch, lane_begin, lane_end, scratch);
   }
 }
 

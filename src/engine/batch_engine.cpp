@@ -64,16 +64,15 @@ void comparator_block(const ExecutionPlan& plan, Batch<Count>& batch,
 
 // Count-propagation twin of comparator_block. Width-2 gates use the
 // branchless pair kernel; a wide balancer is irreducible (a width-p
-// balancer is not a network of 2-balancers), so it runs as
-// sum-then-redistribute — both phases row-wise over the lane dimension,
-// vectorizable, with one totals row as scratch.
+// balancer is not a network of 2-balancers), so it runs as the row kernel
+// engine::wide_count_rows over the block, with `scratch` (2 counts per
+// lane) as its quotient and remainder rows.
 void count_layer(const ExecutionPlan& plan, const ExecutionPlan::Layer& layer,
                  Batch<Count>& batch, std::size_t block_begin,
-                 std::size_t block_end, std::vector<Count>& totals) {
+                 std::size_t block_end, std::span<Count> scratch) {
   const auto& pairs = plan.pair_wires();
   const auto& wides = plan.wide_gates();
   const auto& wide_wires = plan.wide_wires();
-  const std::size_t n = block_end - block_begin;
   for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
     Count* hi = batch.row(static_cast<std::size_t>(pairs[2 * k])).data();
     Count* lo = batch.row(static_cast<std::size_t>(pairs[2 * k + 1])).data();
@@ -83,31 +82,8 @@ void count_layer(const ExecutionPlan& plan, const ExecutionPlan::Layer& layer,
   }
   for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
     const ExecutionPlan::WideGate wg = wides[g];
-    const Wire* ws = wide_wires.data() + wg.first;
-    const auto p = static_cast<Count>(wg.width);
-    std::fill(totals.begin(), totals.begin() + static_cast<std::ptrdiff_t>(n),
-              Count{0});
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      const Count* row =
-          batch.row(static_cast<std::size_t>(ws[i])).data() + block_begin;
-      for (std::size_t j = 0; j < n; ++j) totals[j] += row[j];
-    }
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      Count* row =
-          batch.row(static_cast<std::size_t>(ws[i])).data() + block_begin;
-      const Count bias = p - 1 - static_cast<Count>(i);
-      // counts are non-negative, so totals[j] + bias >= 0: plain division
-      // implements ceil((total - i) / p).
-      for (std::size_t j = 0; j < n; ++j) row[j] = (totals[j] + bias) / p;
-    }
-  }
-}
-
-void count_block(const ExecutionPlan& plan, Batch<Count>& batch,
-                 std::size_t block_begin, std::size_t block_end,
-                 std::vector<Count>& totals) {
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    count_layer(plan, layer, batch, block_begin, block_end, totals);
+    engine::wide_count_rows(batch, {wide_wires.data() + wg.first, wg.width},
+                            block_begin, block_end - block_begin, scratch);
   }
 }
 
@@ -120,12 +96,15 @@ void comparator_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
 
 void count_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
                  std::size_t lane_begin, std::size_t lane_end) {
-  std::vector<Count> totals(
+  std::vector<Count> scratch(
       plan.wide_gates().empty()
           ? 0
-          : std::min<std::size_t>(kExecBlock, lane_end - lane_begin));
+          : 2 * std::min<std::size_t>(kExecBlock, lane_end - lane_begin));
   for (std::size_t b = lane_begin; b < lane_end; b += kExecBlock) {
-    count_block(plan, batch, b, std::min(b + kExecBlock, lane_end), totals);
+    const std::size_t e = std::min(b + kExecBlock, lane_end);
+    for (const ExecutionPlan::Layer& layer : plan.layers()) {
+      count_layer(plan, layer, batch, b, e, scratch);
+    }
   }
 }
 
@@ -159,13 +138,13 @@ void comparator_lanes_traced(const ExecutionPlan& plan, Batch<Count>& batch,
 
 void count_lanes_traced(const ExecutionPlan& plan, Batch<Count>& batch,
                         std::size_t lane_begin, std::size_t lane_end) {
-  std::vector<Count> totals(
-      plan.wide_gates().empty() ? 0 : lane_end - lane_begin);
+  std::vector<Count> scratch(
+      plan.wide_gates().empty() ? 0 : 2 * (lane_end - lane_begin));
   std::size_t li = 0;
   for (const ExecutionPlan::Layer& layer : plan.layers()) {
     obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
                          layer_span_args(layer, lane_end - lane_begin));
-    count_layer(plan, layer, batch, lane_begin, lane_end, totals);
+    count_layer(plan, layer, batch, lane_begin, lane_end, scratch);
   }
 }
 

@@ -12,13 +12,19 @@
 //
 // Count kernels mirror the comparator kernels under the Figure 2
 // isomorphism: a balancer's quiescent transfer function is
-// out[i] = ceil((total - i) / p), which for p == 2 reduces to the branchless
-// pair (ceil(total/2), floor(total/2)).
+// out[i] = ceil((total - i) / p). Writing total = q*p + r (0 <= r < p),
+// that is q + (i < r): one division per gate evaluation, not one per
+// output slot. For p == 2 it reduces to the branchless pair
+// (ceil(total/2), floor(total/2)). Every tier — scalar, batch, threaded,
+// simd — runs a wide balancer through wide_count_kernel (one vector) or
+// wide_count_rows (a block of lanes); sim/count_sim keeps the per-slot
+// formula as the independent reference.
 #pragma once
 
 #include <cstddef>
 #include <span>
 
+#include "engine/batch.h"
 #include "seq/sequence_props.h"
 
 namespace scn::engine {
@@ -62,9 +68,42 @@ inline void wide_count_kernel(std::span<Count> vals) {
   Count total = 0;
   for (const Count c : vals) total += c;
   const auto p = static_cast<Count>(vals.size());
+  const Count q = total / p;
+  const Count r = total - q * p;
   for (std::size_t i = 0; i < vals.size(); ++i) {
-    const Count num = total - static_cast<Count>(i) + p - 1;
-    vals[i] = num >= 0 ? num / p : 0;
+    vals[i] = q + static_cast<Count>(static_cast<Count>(i) < r);
+  }
+}
+
+/// Width-p balancer across lanes [begin, begin + n) of `batch`: listed wire
+/// i of the gate is row `wires[i]`, p = wires.size() >= 2. `scratch` holds
+/// at least 2n counts (per-lane quotient, then remainder). The division
+/// pass is one scalar division per lane; the sum and write-back passes are
+/// row-wise and vectorize across lanes.
+inline void wide_count_rows(Batch<Count>& batch, std::span<const Wire> wires,
+                            std::size_t begin, std::size_t n,
+                            std::span<Count> scratch) {
+  Count* quot = scratch.data();
+  Count* rem = scratch.data() + n;
+  const Count* first = batch.row(static_cast<std::size_t>(wires[0])).data();
+  for (std::size_t j = 0; j < n; ++j) quot[j] = first[begin + j];
+  for (std::size_t i = 1; i < wires.size(); ++i) {
+    const Count* row =
+        batch.row(static_cast<std::size_t>(wires[i])).data() + begin;
+    for (std::size_t j = 0; j < n; ++j) quot[j] += row[j];
+  }
+  const auto p = static_cast<Count>(wires.size());
+  for (std::size_t j = 0; j < n; ++j) {
+    const Count q = quot[j] / p;
+    rem[j] = quot[j] - q * p;
+    quot[j] = q;
+  }
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    Count* row = batch.row(static_cast<std::size_t>(wires[i])).data() + begin;
+    const auto slot = static_cast<Count>(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j] = quot[j] + static_cast<Count>(slot < rem[j]);
+    }
   }
 }
 

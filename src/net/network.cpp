@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 #include <sstream>
@@ -75,7 +76,6 @@ void NetworkBuilder::add_balancer(std::initializer_list<Wire> wires) {
 
 std::vector<Wire> NetworkBuilder::stamp(const Network& tmpl,
                                         std::span<const Wire> wires) {
-  assert(wires.size() == tmpl.width());
 #ifdef SCNET_CHECKED
   if (wires.size() != tmpl.width()) {
     std::ostringstream err;
@@ -84,6 +84,7 @@ std::vector<Wire> NetworkBuilder::stamp(const Network& tmpl,
     throw std::invalid_argument(err.str());
   }
 #endif
+  assert(wires.size() == tmpl.width());
   check_wires(wires, "stamp");
 
   // Flat splice: the template's gates are already validated (distinct
@@ -122,17 +123,34 @@ std::vector<Wire> NetworkBuilder::stamp(const Network& tmpl,
 }
 
 Network NetworkBuilder::finish(std::vector<Wire> output_order) && {
-  assert(output_order.size() == width());
+  // Validated unconditionally, before any write through it: the inverse
+  // order is indexed by these wires. `width()` marks an unfilled slot.
+  const std::size_t w = width();
+  if (output_order.size() != w) {
+    std::ostringstream err;
+    err << "finish: output order has " << output_order.size()
+        << " wires, width is " << w;
+    throw std::invalid_argument(err.str());
+  }
+  std::vector<std::size_t> inverse(w, w);
+  for (std::size_t i = 0; i < w; ++i) {
+    const Wire wire = output_order[i];
+    if (wire < 0 || static_cast<std::size_t>(wire) >= w ||
+        inverse[static_cast<std::size_t>(wire)] != w) {
+      std::ostringstream err;
+      err << "finish: output order wire " << wire
+          << " is out of range or repeated";
+      throw std::invalid_argument(err.str());
+    }
+    inverse[static_cast<std::size_t>(wire)] = i;
+  }
   Network n;
-  n.width_ = width();
+  n.width_ = w;
   n.depth_ = depth_;
   n.gates_ = std::move(gates_);
   n.gate_wires_ = std::move(gate_wires_);
   n.output_order_ = std::move(output_order);
-  n.inverse_output_order_.assign(n.width_, 0);
-  for (std::size_t i = 0; i < n.width_; ++i) {
-    n.inverse_output_order_[static_cast<std::size_t>(n.output_order_[i])] = i;
-  }
+  n.inverse_output_order_ = std::move(inverse);
   n.max_gate_width_ = 0;
   for (const Gate& g : n.gates_) {
     n.max_gate_width_ = std::max(n.max_gate_width_, g.width);
@@ -222,6 +240,53 @@ std::vector<std::vector<std::size_t>> Network::layers() const {
     out[gates_[gi].layer - 1].push_back(gi);
   }
   return out;
+}
+
+namespace {
+
+// One xxHash64 accumulator round and its avalanche: each word is spread by
+// a multiply before it is folded in, so small integers (layers, widths,
+// wire ids) land far apart, and the finalized per-gate values are strong
+// enough to combine by addition.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ull;
+
+constexpr std::uint64_t hash_round(std::uint64_t acc, std::uint64_t v) {
+  return std::rotl(acc + v * kPrime2, 31) * kPrime1;
+}
+
+constexpr std::uint64_t avalanche(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  return h ^ (h >> 32);
+}
+
+}  // namespace
+
+std::uint64_t Network::structural_hash() const {
+  if (const std::uint64_t memo = hash_.value.load(); memo != 0) return memo;
+  // Gates on one layer touch disjoint wires, so (layer, listed wires)
+  // identifies a gate no matter where the builder appended it; summing
+  // the per-gate values makes the result independent of that order.
+  std::uint64_t sum = 0;
+  for (const Gate& g : gates_) {
+    std::uint64_t acc = hash_round(hash_round(kPrime3, g.layer), g.width);
+    for (const Wire w : gate_wires(g)) {
+      acc = hash_round(acc, static_cast<std::uint64_t>(w));
+    }
+    sum += avalanche(acc);
+  }
+  std::uint64_t h = hash_round(kPrime1, sum);
+  for (const Wire w : output_order_) {
+    h = hash_round(h, static_cast<std::uint64_t>(w));
+  }
+  h = avalanche(h);
+  if (h == 0) h = 1;  // 0 marks "not computed"
+  hash_.value = h;
+  return h;
 }
 
 std::vector<Wire> identity_order(std::size_t w) {

@@ -21,6 +21,7 @@
 // maximum layer among the gates that previously touched any of its wires.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -157,8 +158,35 @@ class Network {
   /// Gates grouped by layer: result[l] lists gate indices with layer l+1.
   [[nodiscard]] std::vector<std::vector<std::size_t>> layers() const;
 
+  /// Canonical structural hash: an order-invariant sum of per-gate mixes
+  /// over (layer, width, wires in logical order), with the logical output
+  /// order folded in after. Invariant under reordering independent gates;
+  /// sensitive to listed wire order within a gate and to the output order.
+  /// Computed on first call, O(endpoints + width), and kept: copies carry
+  /// it, so every later call (a plan-cache hit) is O(1). Thread-safe;
+  /// concurrent first calls compute and store the same value.
+  [[nodiscard]] std::uint64_t structural_hash() const;
+
  private:
   friend class NetworkBuilder;
+
+  // The structural_hash() memo, 0 = not computed yet. Copies carry the
+  // value; a move takes it, and the source recomputes from its own
+  // (emptied) state.
+  struct HashMemo {
+    mutable std::atomic<std::uint64_t> value{0};
+    HashMemo() = default;
+    HashMemo(const HashMemo& o) : value(o.value.load()) {}
+    HashMemo(HashMemo&& o) noexcept : value(o.value.exchange(0)) {}
+    HashMemo& operator=(const HashMemo& o) {
+      value = o.value.load();
+      return *this;
+    }
+    HashMemo& operator=(HashMemo&& o) noexcept {
+      value = o.value.exchange(0);
+      return *this;
+    }
+  };
 
   std::size_t width_ = 0;
   std::uint32_t depth_ = 0;
@@ -167,6 +195,7 @@ class Network {
   std::vector<Wire> gate_wires_;
   std::vector<Wire> output_order_;
   std::vector<std::size_t> inverse_output_order_;
+  HashMemo hash_;
 };
 
 /// Convenience: identity order 0..w-1.

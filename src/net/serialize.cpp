@@ -81,9 +81,19 @@ ParseResult parse_network(const std::string& text) {
       if (output) return fail("duplicate output");
       std::vector<Wire> order;
       long long w;
-      while (ls >> w) order.push_back(static_cast<Wire>(w));
+      while (ls >> w) {
+        if (w < 0 || static_cast<std::size_t>(w) >= *width) {
+          return fail("output wire out of range");
+        }
+        order.push_back(static_cast<Wire>(w));
+      }
       if (!ls.eof()) return fail("bad output wire");
       if (order.size() != *width) return fail("output order length != width");
+      std::vector<Wire> sorted = order;
+      std::sort(sorted.begin(), sorted.end());
+      if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+        return fail("output order repeats a wire");
+      }
       output = std::move(order);
     } else {
       return fail("unknown directive '" + word + "'");

@@ -14,7 +14,7 @@ namespace scn {
 /// dependency order is preserved. Never increases depth, and after a
 /// gate-removing pass it packs the survivors into the minimum layer count.
 /// Idempotent; gives structurally identical networks identical gate
-/// streams, which is what makes structural_hash() canonical.
+/// streams.
 [[nodiscard]] std::unique_ptr<Pass> make_relayer_pass();
 
 /// "dedup-adjacent" — removes a gate whose listed wire sequence is

@@ -14,33 +14,6 @@
 
 namespace scn {
 
-std::uint64_t structural_hash(const Network& net) {
-  std::uint64_t h = fnv::kOffset;
-  fnv::mix(h, net.width());
-  fnv::mix(h, net.gate_count());
-  for (const auto& layer : net.layers()) {
-    // Canonical within-layer order: gates in one ASAP layer touch disjoint
-    // wires, so minimum wire ids are distinct and sort stably.
-    std::vector<std::pair<Wire, std::size_t>> order;
-    order.reserve(layer.size());
-    for (const std::size_t gi : layer) {
-      const auto ws = net.gate_wires(gi);
-      order.emplace_back(*std::min_element(ws.begin(), ws.end()), gi);
-    }
-    std::sort(order.begin(), order.end());
-    fnv::mix(h, 0x4c41594552ull);  // layer separator
-    for (const auto& [min_wire, gi] : order) {
-      const auto ws = net.gate_wires(gi);
-      fnv::mix(h, ws.size());
-      for (const Wire w : ws) fnv::mix(h, static_cast<std::uint64_t>(w));
-    }
-  }
-  for (const Wire w : net.output_order()) {
-    fnv::mix(h, static_cast<std::uint64_t>(w));
-  }
-  return h;
-}
-
 namespace {
 
 struct Key {
@@ -142,7 +115,7 @@ CachedPlan PlanCache::compiled(const Network& net, PassLevel level,
                                const PassOptions& opts,
                                EngineBackend backend) {
   Key key;
-  key.hash = structural_hash(net);
+  key.hash = net.structural_hash();
   key.width = net.width();
   key.gates = net.gate_count();
   key.level = level;

@@ -1,19 +1,19 @@
-// Canonical structural hashing + an LRU cache of compiled ExecutionPlans.
+// An LRU cache of compiled ExecutionPlans.
 //
 // Repeated evaluation of the same network — verifier sweeps, CLI batch
 // mode, benchmark loops, every Sorter of a given width — used to re-run
 // the pass pipeline and re-lower the plan each time. The cache keys a
-// compiled (and pass-optimized) plan on the network's canonical structural
-// hash plus the pipeline configuration, so the second and later lookups
-// cost one O(gates) hash instead of a full optimize + compile.
+// compiled (and pass-optimized) plan on Network::structural_hash() plus
+// the pipeline configuration. The hash is computed once per Network and
+// kept (copies carry it), so a lookup on a network already seen costs one
+// map probe, not a walk over its gates.
 //
-// The hash is canonical over the relayer pass's normal form: gates are
-// folded layer-major, ordered within each layer by minimum wire, so two
+// The hash is invariant under reordering independent gates, so two
 // structurally identical networks hash identically no matter what order
-// their builders appended independent gates in. Keys also carry width and
-// gate count; a residual 64-bit collision between distinct networks is
-// possible in principle and accepted (the cache is an optimization layer —
-// callers needing proof-grade identity compare serializations).
+// their builders appended them in. Keys also carry width and gate count; a
+// residual 64-bit collision between distinct networks is possible in
+// principle and accepted (the cache is an optimization layer — callers
+// needing proof-grade identity compare serializations).
 #pragma once
 
 #include <cstdint>
@@ -30,10 +30,6 @@ namespace scn {
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
-
-/// Order-canonical FNV-1a over (width, layer-major min-wire-sorted gate
-/// stream, output order). Invariant under within-layer gate reordering.
-[[nodiscard]] std::uint64_t structural_hash(const Network& net);
 
 struct PlanCacheStats {
   std::uint64_t hits = 0;

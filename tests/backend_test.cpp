@@ -6,19 +6,25 @@
 // randomized sweep in engine_cross_check_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
+#include <numeric>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "baseline/bitonic.h"
 #include "core/cost_model.h"
 #include "core/k_network.h"
 #include "engine/backend.h"
 #include "engine/execution_plan.h"
+#include "engine/kernels.h"
 #include "engine/simd_kernels.h"
 #include "opt/plan_cache.h"
 #include "runtime/runtime.h"
 #include "seq/generators.h"
+#include "sim/count_sim.h"
 
 namespace scn {
 namespace {
@@ -236,6 +242,83 @@ TEST(SimdKernels, PairRowsMatchScalarKernels) {
     }
     EXPECT_EQ(chi, chi_ref) << "count n=" << n;
     EXPECT_EQ(clo, clo_ref) << "count n=" << n;
+  }
+}
+
+TEST(WideCountKernels, MatchCountSimOnEverySlot) {
+  // The engine's wide-balancer kernels (the row kernel every lane-parallel
+  // tier runs, and the scalar one-vector kernel) against sim/count_sim's
+  // per-slot ceil((total - i) / p). Totals cover 0, below p, exact
+  // multiples of p, random values and the neighbourhood of INT64_MAX / p;
+  // each total is split unevenly over the gate's inputs.
+  std::mt19937_64 rng(23);
+  for (std::size_t p = 3; p <= 8; ++p) {
+    const auto ip = static_cast<Count>(p);
+    const Count big = std::numeric_limits<Count>::max() / ip;
+    std::vector<Count> totals = {0};
+    for (Count t = 1; t < ip; ++t) totals.push_back(t);
+    for (const Count k : {1, 2, 7, 1000}) totals.push_back(k * ip);
+    for (int k = 0; k < 40; ++k) {
+      totals.push_back(static_cast<Count>(rng() % 1000000007));
+    }
+    for (Count d = 0; d <= ip + 1; ++d) totals.push_back(big - d);
+
+    // Listed wires are a shuffled subset of wider batch rows, so the
+    // kernel must follow the listed order and leave the other rows alone.
+    const std::size_t width = p + 3;
+    std::vector<Wire> all(width);
+    std::iota(all.begin(), all.end(), Wire{0});
+    std::shuffle(all.begin(), all.end(), rng);
+    const std::vector<Wire> wires(all.begin(),
+                                  all.begin() + static_cast<std::ptrdiff_t>(p));
+
+    const std::size_t begin = 5;  // a block that does not start at lane 0
+    const std::size_t n = totals.size();
+    engine::Batch<Count> batch(width, begin + n + 2);
+    for (std::size_t w = 0; w < width; ++w) {
+      for (std::size_t j = 0; j < batch.batch_size(); ++j) {
+        batch.at(w, j) = -1;  // sentinel
+      }
+    }
+    std::vector<std::vector<Count>> inputs(n, std::vector<Count>(p, 0));
+    for (std::size_t j = 0; j < n; ++j) {
+      Count left = totals[j];
+      for (std::size_t i = 0; i + 1 < p && left > 0; ++i) {
+        const auto part = static_cast<Count>(
+            rng() % (static_cast<std::uint64_t>(left) + 1));
+        inputs[j][i] = part;
+        left -= part;
+      }
+      inputs[j][p - 1] += left;
+      for (std::size_t i = 0; i < p; ++i) {
+        batch.at(static_cast<std::size_t>(wires[i]), begin + j) =
+            inputs[j][i];
+      }
+    }
+
+    std::vector<Count> scratch(2 * n);
+    engine::wide_count_rows(batch, wires, begin, n, scratch);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::vector<Count> expect = balancer_outputs(inputs[j]);
+      std::vector<Count> scalar = inputs[j];
+      engine::wide_count_kernel(scalar);
+      EXPECT_EQ(scalar, expect) << "p=" << p << " total=" << totals[j];
+      for (std::size_t i = 0; i < p; ++i) {
+        EXPECT_EQ(batch.at(static_cast<std::size_t>(wires[i]), begin + j),
+                  expect[i])
+            << "p=" << p << " total=" << totals[j] << " slot " << i;
+      }
+    }
+    // Lanes outside the block and rows outside the gate are untouched.
+    for (std::size_t w = 0; w < width; ++w) {
+      const bool listed =
+          std::find(wires.begin(), wires.end(), static_cast<Wire>(w)) !=
+          wires.end();
+      for (std::size_t j = 0; j < batch.batch_size(); ++j) {
+        if (listed && j >= begin && j < begin + n) continue;
+        EXPECT_EQ(batch.at(w, j), -1) << "p=" << p << " row " << w;
+      }
+    }
   }
 }
 

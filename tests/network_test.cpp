@@ -2,6 +2,9 @@
 // the logical output order machinery.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/l_network.h"
 #include "core/module.h"
 #include "net/linked_network.h"
@@ -121,10 +124,15 @@ TEST(Network, OutputOrderRoundTrip) {
 }
 
 TEST(Network, ValidateRejectsBadOutputOrder) {
-  NetworkBuilder b(2);
-  b.add_balancer({0, 1});
-  const Network net = std::move(b).finish({0, 0});
-  EXPECT_NE(net.validate(), "");
+  // finish() validates the order before indexing by it, so a bad order
+  // never reaches a Network: repeated, out-of-range (either sign) and
+  // wrong-length orders all throw.
+  for (const std::vector<Wire>& order : std::vector<std::vector<Wire>>{
+           {0, 0}, {0, 5}, {-1, 0}, {0}, {0, 1, 2}}) {
+    NetworkBuilder b(2);
+    b.add_balancer({0, 1});
+    EXPECT_THROW((void)std::move(b).finish(order), std::invalid_argument);
+  }
 }
 
 TEST(LinkedNetwork, FollowsWireChains) {

@@ -1,20 +1,24 @@
 // Canonical structural hashing and the LRU plan cache: hit/miss/eviction
-// accounting, order-insensitivity of the hash, and correctness of cached
-// plans against the per-gate interpreter.
+// accounting, order-insensitivity of the hash, how copies and moves carry
+// the memoized hash, and correctness of cached plans against the per-gate
+// interpreter.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <random>
 #include <thread>
+#include <vector>
 
 #include "baseline/bitonic.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
 #include "engine/batch_engine.h"
 #include "net/network.h"
+#include "net/serialize.h"
 #include "obs/metrics.h"
 #include "opt/plan_cache.h"
 #include "perf/thread_pool.h"
+#include "runtime/runtime.h"
 #include "seq/generators.h"
 #include "sim/comparator_sim.h"
 
@@ -30,14 +34,14 @@ TEST(StructuralHash, InsensitiveToIndependentGateOrder) {
   b.add_balancer({0, 1});
   b.add_balancer({2, 3});
   b.add_balancer({4, 5});
-  EXPECT_EQ(structural_hash(std::move(a).finish_identity()),
-            structural_hash(std::move(b).finish_identity()));
+  EXPECT_EQ(std::move(a).finish_identity().structural_hash(),
+            std::move(b).finish_identity().structural_hash());
 }
 
 TEST(StructuralHash, SensitiveToStructure) {
   const Network k22 = make_k_network({2, 2});
   const Network k23 = make_k_network({2, 3});
-  EXPECT_NE(structural_hash(k22), structural_hash(k23));
+  EXPECT_NE(k22.structural_hash(), k23.structural_hash());
 
   // Same gates, different logical output order.
   NetworkBuilder a(2);
@@ -46,13 +50,117 @@ TEST(StructuralHash, SensitiveToStructure) {
   b.add_balancer({0, 1});
   const Network identity = std::move(a).finish_identity();
   const Network swapped = std::move(b).finish({1, 0});
-  EXPECT_NE(structural_hash(identity), structural_hash(swapped));
+  EXPECT_NE(identity.structural_hash(), swapped.structural_hash());
 
   // Same wire set, different listed (logical) order within the gate.
   NetworkBuilder c(2);
   c.add_balancer({1, 0});
-  EXPECT_NE(structural_hash(identity),
-            structural_hash(std::move(c).finish_identity()));
+  EXPECT_NE(identity.structural_hash(),
+            std::move(c).finish_identity().structural_hash());
+}
+
+TEST(StructuralHash, SensitiveToLayerAndAcrossWidths) {
+  // Same gate multiset on different layers: {0,1} then {1,2} puts the
+  // second gate on layer 2; {1,2} then {0,1} swaps which gate is later.
+  NetworkBuilder a(3);
+  a.add_balancer({0, 1});
+  a.add_balancer({1, 2});
+  NetworkBuilder b(3);
+  b.add_balancer({1, 2});
+  b.add_balancer({0, 1});
+  EXPECT_NE(std::move(a).finish_identity().structural_hash(),
+            std::move(b).finish_identity().structural_hash());
+
+  // Over a family of K and L networks, two hashes agree exactly when the
+  // serializations do (K(2,3) and K(3,2) are both one width-6 balancer).
+  std::vector<Network> nets;
+  for (const std::vector<std::size_t>& f :
+       std::vector<std::vector<std::size_t>>{
+           {2, 2}, {2, 3}, {3, 2}, {2, 2, 2}, {4, 4}, {2, 3, 4}}) {
+    nets.push_back(make_k_network(f));
+    nets.push_back(make_l_network(f));
+  }
+  for (const Network& x : nets) {
+    for (const Network& y : nets) {
+      EXPECT_EQ(x.structural_hash() == y.structural_hash(),
+                serialize_network(x) == serialize_network(y));
+    }
+  }
+}
+
+TEST(StructuralHash, CopiesCarryTheHash) {
+  const Network original = make_l_network({2, 3, 4});
+  const std::uint64_t h = original.structural_hash();
+  const Network copy = original;
+  EXPECT_EQ(copy.structural_hash(), h);
+  Network assigned = make_k_network({2, 2});
+  (void)assigned.structural_hash();
+  assigned = original;
+  EXPECT_EQ(assigned.structural_hash(), h);
+
+  // A copy taken before the first call computes the same value itself.
+  const Network fresh = make_l_network({2, 3, 4});
+  const Network early = fresh;
+  EXPECT_EQ(early.structural_hash(), h);
+  EXPECT_EQ(fresh.structural_hash(), h);
+}
+
+TEST(StructuralHash, MovedFromReportsItsOwnState) {
+  Network source = make_l_network({2, 3, 4});
+  const std::uint64_t h = source.structural_hash();
+  const Network target = std::move(source);
+  EXPECT_EQ(target.structural_hash(), h);
+  // The moved-from network is empty, and its hash says so.
+  EXPECT_EQ(source.structural_hash(), Network{}.structural_hash());
+  EXPECT_NE(source.structural_hash(), h);
+
+  Network assigned_from = make_k_network({2, 3});
+  const std::uint64_t k = assigned_from.structural_hash();
+  Network assigned = make_l_network({2, 2});
+  assigned = std::move(assigned_from);
+  EXPECT_EQ(assigned.structural_hash(), k);
+  EXPECT_EQ(assigned_from.structural_hash(), Network{}.structural_hash());
+}
+
+TEST(PlanCache, CopyOfACachedNetworkHits) {
+  PlanCache cache(8);
+  const Network net = make_l_network({2, 3, 4});
+  (void)cache.compiled(net, PassLevel::kDefault);
+  const Network copy = net;
+  EXPECT_TRUE(cache.compiled(copy, PassLevel::kDefault).hit);
+
+  Runtime rt;
+  (void)rt.compiled(net, PassLevel::kDefault);
+  const Network runtime_copy = net;
+  EXPECT_TRUE(rt.compiled(runtime_copy, PassLevel::kDefault).hit);
+}
+
+TEST(PlanCache, ConcurrentFirstHashesAgree) {
+  // One fresh Network, eight threads racing its first structural_hash()
+  // and the cache lookup keyed on it: every thread sees the same hash and
+  // the same plan, and the cache compiled it once.
+  const Network net = make_l_network({2, 3, 4});
+  const std::uint64_t expected = make_l_network({2, 3, 4}).structural_hash();
+  PlanCache cache(8);
+  constexpr int kThreads = 8;
+  std::vector<std::uint64_t> hashes(kThreads);
+  std::vector<const ExecutionPlan*> plans(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto i = static_cast<std::size_t>(t);
+      hashes[i] = net.structural_hash();
+      plans[i] = cache.compiled(net, PassLevel::kDefault).plan.get();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const auto i = static_cast<std::size_t>(t);
+    EXPECT_EQ(hashes[i], expected);
+    EXPECT_EQ(plans[i], plans[0]);
+  }
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(kThreads - 1));
 }
 
 TEST(PlanCache, SecondLookupHitsAndSharesThePlan) {

@@ -103,8 +103,8 @@ TEST(Runtime, OptionsSizeThePoolAndGateTheModuleCache) {
   Runtime::Options cached_options;
   cached_options.module_cache = true;
   Runtime cached(cached_options);
-  EXPECT_EQ(structural_hash(net),
-            structural_hash(make_l_network({2, 3, 4}, cached)));
+  EXPECT_EQ(net.structural_hash(),
+            make_l_network({2, 3, 4}, cached).structural_hash());
   EXPECT_GT(cached.module_cache().stats().entries, 0u);
 }
 

@@ -104,5 +104,15 @@ TEST(Serialize, ErrorsCarryLineNumbers) {
   EXPECT_NE(r.error.find("line 3"), std::string::npos) << r.error;
 }
 
+TEST(Serialize, BadOutputOrdersAreRejectedOnTheirLine) {
+  for (const char* text : {"scnet 1\nwidth 2\noutput 0 5\n",
+                           "scnet 1\nwidth 2\noutput -1 0\n",
+                           "scnet 1\nwidth 2\noutput 1 1\n"}) {
+    const ParseResult r = parse_network(text);
+    EXPECT_FALSE(r.network.has_value());
+    EXPECT_NE(r.error.find("line 3"), std::string::npos) << r.error;
+  }
+}
+
 }  // namespace
 }  // namespace scn
