@@ -3,15 +3,22 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "engine/backend.h"
+#include "engine/batch.h"
 #include "engine/kernels.h"
+#include "engine/simd_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "opt/pass.h"
 #include "runtime/runtime.h"
+#include "topo/topology.h"
 
 namespace scn {
 namespace {
@@ -29,95 +36,24 @@ constexpr std::size_t kLaneBlock = 32;
 // 256 lanes x 8 bytes = 2 KB per row segment.
 constexpr std::size_t kExecBlock = 256;
 
-// Runs the full plan as a comparator network over lanes [block_begin,
-// block_end) (one cache block). Every gate — width-2 directly, wider ones
-// via their compile-time compare-exchange expansion — is a branchless
-// min/max over two contiguous row segments, so the inner loops
-// auto-vectorize across the lane dimension with no gather or scratch.
-void comparator_layer(const ExecutionPlan& plan,
-                      const ExecutionPlan::Layer& layer, Batch<Count>& batch,
-                      std::size_t block_begin, std::size_t block_end) {
-  const auto& pairs = plan.pair_wires();
-  const auto& ces = plan.ce_wires();
-  for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-    Count* hi = batch.row(static_cast<std::size_t>(pairs[2 * k])).data();
-    Count* lo = batch.row(static_cast<std::size_t>(pairs[2 * k + 1])).data();
-    for (std::size_t j = block_begin; j < block_end; ++j) {
-      engine::pair_sort_kernel(hi[j], lo[j]);
-    }
-  }
-  for (std::uint32_t k = layer.ce_begin; k < layer.ce_end; ++k) {
-    Count* hi = batch.row(static_cast<std::size_t>(ces[2 * k])).data();
-    Count* lo = batch.row(static_cast<std::size_t>(ces[2 * k + 1])).data();
-    for (std::size_t j = block_begin; j < block_end; ++j) {
-      engine::pair_sort_kernel(hi[j], lo[j]);
-    }
-  }
+// Smallest lane range a pool task gets from the threaded tiers.
+constexpr std::size_t kMinLanesPerTask = 64;
+
+// Width-2 row kernels of the batch and threaded tiers: branchless loops
+// over two contiguous row segments, which the compiler auto-vectorizes
+// across the lane dimension. The simd tier passes the explicit AVX2 rows
+// of engine/simd_kernels.h instead.
+void sort_rows(Count* hi, Count* lo, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) engine::pair_sort_kernel(hi[j], lo[j]);
 }
 
-void comparator_block(const ExecutionPlan& plan, Batch<Count>& batch,
-                      std::size_t block_begin, std::size_t block_end) {
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    comparator_layer(plan, layer, batch, block_begin, block_end);
-  }
+void count_rows(Count* hi, Count* lo, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) engine::pair_count_kernel(hi[j], lo[j]);
 }
 
-// Count-propagation twin of comparator_block. Width-2 gates use the
-// branchless pair kernel; a wide balancer is irreducible (a width-p
-// balancer is not a network of 2-balancers), so it runs as the row kernel
-// engine::wide_count_rows over the block, with `scratch` (2 counts per
-// lane) as its quotient and remainder rows.
-void count_layer(const ExecutionPlan& plan, const ExecutionPlan::Layer& layer,
-                 Batch<Count>& batch, std::size_t block_begin,
-                 std::size_t block_end, std::span<Count> scratch) {
-  const auto& pairs = plan.pair_wires();
-  const auto& wides = plan.wide_gates();
-  const auto& wide_wires = plan.wide_wires();
-  for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-    Count* hi = batch.row(static_cast<std::size_t>(pairs[2 * k])).data();
-    Count* lo = batch.row(static_cast<std::size_t>(pairs[2 * k + 1])).data();
-    for (std::size_t j = block_begin; j < block_end; ++j) {
-      engine::pair_count_kernel(hi[j], lo[j]);
-    }
-  }
-  for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
-    const ExecutionPlan::WideGate wg = wides[g];
-    engine::wide_count_rows(batch, {wide_wires.data() + wg.first, wg.width},
-                            block_begin, block_end - block_begin, scratch);
-  }
-}
+using PairRows = void (*)(Count*, Count*, std::size_t);
 
-void comparator_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
-                      std::size_t lane_begin, std::size_t lane_end) {
-  for (std::size_t b = lane_begin; b < lane_end; b += kExecBlock) {
-    comparator_block(plan, batch, b, std::min(b + kExecBlock, lane_end));
-  }
-}
-
-void count_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
-                 std::size_t lane_begin, std::size_t lane_end) {
-  std::vector<Count> scratch(
-      plan.wide_gates().empty()
-          ? 0
-          : 2 * std::min<std::size_t>(kExecBlock, lane_end - lane_begin));
-  for (std::size_t b = lane_begin; b < lane_end; b += kExecBlock) {
-    const std::size_t e = std::min(b + kExecBlock, lane_end);
-    for (const ExecutionPlan::Layer& layer : plan.layers()) {
-      count_layer(plan, layer, batch, b, e, scratch);
-    }
-  }
-}
-
-using LaneRunner = void (*)(const ExecutionPlan&, Batch<Count>&, std::size_t,
-                            std::size_t);
-
-// Traced twins of the lane runners: layer-major over the whole lane range
-// so each layer is one span. Layers run over identical lane sets in the
-// same order as the blocked path, and every kernel is lane-pointwise
-// within a layer, so results are bit-identical — only the cache blocking
-// (a pure performance device) is given up while a trace is recording.
-std::string layer_span_args(const ExecutionPlan::Layer& layer,
-                            std::size_t lanes) {
+std::string layer_args(const ExecutionPlan::Layer& layer, std::size_t lanes) {
   const auto pairs = layer.pair_end - layer.pair_begin;
   const auto ces = layer.ce_end - layer.ce_begin;
   const auto wides = layer.wide_end - layer.wide_begin;
@@ -126,42 +62,110 @@ std::string layer_span_args(const ExecutionPlan::Layer& layer,
          ",\"lanes\":" + std::to_string(lanes) + "}";
 }
 
-void comparator_lanes_traced(const ExecutionPlan& plan, Batch<Count>& batch,
-                             std::size_t lane_begin, std::size_t lane_end) {
-  std::size_t li = 0;
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
-                         layer_span_args(layer, lane_end - lane_begin));
-    comparator_layer(plan, layer, batch, lane_begin, lane_end);
+// Per-layer timing of one runner call. Armed only while a trace is
+// recording: it then reads the tracer clock once per layer per lane block,
+// sums the time per layer, and at the end records one `engine.layer`
+// event per layer, back to back from the call's start. Unarmed, it holds
+// no storage and tick() is one predictable branch.
+class LayerClock {
+ public:
+  explicit LayerClock(std::size_t depth) {
+    if constexpr (obs::compiled_in()) {
+      if (obs::Tracer::shared().active()) {
+        armed_ = true;
+        sums_.assign(depth, 0);
+        start_ns_ = last_ns_ = obs::Tracer::shared().now_ns();
+      }
+    }
   }
-}
 
-void count_lanes_traced(const ExecutionPlan& plan, Batch<Count>& batch,
-                        std::size_t lane_begin, std::size_t lane_end) {
+  void tick(std::size_t layer) {
+    if (!armed_) return;
+    const std::uint64_t now = obs::Tracer::shared().now_ns();
+    sums_[layer] += now - last_ns_;
+    last_ns_ = now;
+  }
+
+  void record(const ExecutionPlan& plan, std::size_t lanes) const {
+    if (!armed_) return;
+    obs::Tracer& tracer = obs::Tracer::shared();
+    std::uint64_t at = start_ns_;
+    for (std::size_t i = 0; i < sums_.size(); ++i) {
+      tracer.record_complete("layer " + std::to_string(i), "engine.layer", at,
+                             sums_[i], layer_args(plan.layers()[i], lanes));
+      at += sums_[i];
+    }
+  }
+
+ private:
+  bool armed_ = false;
+  std::vector<std::uint64_t> sums_;
+  std::uint64_t start_ns_ = 0;
+  std::uint64_t last_ns_ = 0;
+};
+
+// The lane runner every lane-parallel tier calls: the full plan over lanes
+// [lane_begin, lane_end), one kExecBlock lane block at a time. Comparator
+// semantics run every gate as a width-2 compare-exchange — wider gates
+// through their compile-time CE expansion. Count semantics run width-2
+// gates through `pair_rows`; a wide balancer is irreducible (a width-p
+// balancer is not a network of 2-balancers), so it runs as the row kernel
+// engine::wide_count_rows over the block, with `scratch` (2 counts per
+// lane) as its quotient and remainder rows.
+template <Semantics S, PairRows pair_rows>
+void run_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
+               std::size_t lane_begin, std::size_t lane_end) {
+  constexpr bool kCount = S == Semantics::kBalancer;
+  const auto& layers = plan.layers();
+  const auto& pairs = plan.pair_wires();
+  const auto& ces = plan.ce_wires();
+  const auto& wides = plan.wide_gates();
+  const auto& wide_wires = plan.wide_wires();
+  const auto row = [&](Wire w) {
+    return batch.row(static_cast<std::size_t>(w)).data();
+  };
   std::vector<Count> scratch(
-      plan.wide_gates().empty() ? 0 : 2 * (lane_end - lane_begin));
-  std::size_t li = 0;
-  for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
-                         layer_span_args(layer, lane_end - lane_begin));
-    count_layer(plan, layer, batch, lane_begin, lane_end, scratch);
+      kCount && !wides.empty()
+          ? 2 * std::min(kExecBlock, lane_end - lane_begin)
+          : 0);
+  LayerClock clock(layers.size());
+  for (std::size_t b = lane_begin; b < lane_end; b += kExecBlock) {
+    const std::size_t n = std::min(kExecBlock, lane_end - b);
+    for (std::size_t li = 0; li < layers.size(); ++li) {
+      const ExecutionPlan::Layer& layer = layers[li];
+      for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
+        pair_rows(row(pairs[2 * k]) + b, row(pairs[2 * k + 1]) + b, n);
+      }
+      if constexpr (kCount) {
+        for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
+          const ExecutionPlan::WideGate wg = wides[g];
+          engine::wide_count_rows(
+              batch, {wide_wires.data() + wg.first, wg.width}, b, n, scratch);
+        }
+      } else {
+        for (std::uint32_t k = layer.ce_begin; k < layer.ce_end; ++k) {
+          pair_rows(row(ces[2 * k]) + b, row(ces[2 * k + 1]) + b, n);
+        }
+      }
+      clock.tick(li);
+    }
   }
+  clock.record(plan, lane_end - lane_begin);
 }
 
-// Picks the traced runner only when observability is compiled in AND a
-// trace is actively recording; otherwise the cache-blocked fast path.
-LaneRunner comparator_runner() {
-  if constexpr (obs::compiled_in()) {
-    if (obs::Tracer::shared().active()) return &comparator_lanes_traced;
-  }
-  return &comparator_lanes;
-}
+using LaneRunner = void (*)(const ExecutionPlan&, Batch<Count>&, std::size_t,
+                            std::size_t);
 
-LaneRunner count_runner() {
-  if constexpr (obs::compiled_in()) {
-    if (obs::Tracer::shared().active()) return &count_lanes_traced;
+// The runner instance for a semantics and a choice of width-2 row kernel.
+template <Semantics S>
+LaneRunner lane_runner(bool explicit_simd) {
+  if constexpr (S == Semantics::kComparator) {
+    return explicit_simd ? &run_lanes<S, &engine::simd::pair_sort_rows>
+                         : &run_lanes<S, &sort_rows>;
+  } else {
+    return explicit_simd ? &run_lanes<S, &engine::simd::pair_count_rows>
+                         : &run_lanes<S, &count_rows>;
   }
-  return &count_lanes;
 }
 
 // Packs input vectors [lane_begin, lane_end) into the batch, lane blocks
@@ -192,15 +196,7 @@ void unpack_lanes(const Batch<Count>& batch, std::span<const Wire> order,
   }
 }
 
-void run_sharded(const ExecutionPlan& plan, Batch<Count>& batch,
-                 ThreadPool& pool, std::size_t min_lanes_per_task,
-                 LaneRunner runner) {
-  assert(batch.width() == plan.width());
-  pool.parallel_for(batch.batch_size(), min_lanes_per_task,
-                    [&](std::size_t begin, std::size_t end) {
-                      runner(plan, batch, begin, end);
-                    });
-}
+using LaneBody = std::function<void(std::size_t, std::size_t)>;
 
 // Runs `body(begin, end)` over [0, n) partitioned by the placement: each
 // node's contiguous lane range (placement.lane_ranges) is sub-chunked
@@ -210,8 +206,7 @@ void run_sharded(const ExecutionPlan& plan, Batch<Count>& batch,
 // empty groups fall back to the shared queue). Chunk boundaries are pure
 // functions of (n, placement, grain) — determinism is preserved.
 void placed_for(ThreadPool& pool, const topo::PlacementPlan& placement,
-                std::size_t n, std::size_t grain,
-                const std::function<void(std::size_t, std::size_t)>& body) {
+                std::size_t n, std::size_t grain, const LaneBody& body) {
   if (n == 0) return;
   grain = std::max<std::size_t>(1, grain);
   struct State {
@@ -251,34 +246,39 @@ void placed_for(ThreadPool& pool, const topo::PlacementPlan& placement,
   state->cv.wait(lock, [&] { return state->done == tasks; });
 }
 
-void run_placed(const ExecutionPlan& plan, Batch<Count>& batch,
-                ThreadPool& pool, const topo::PlacementPlan& placement,
-                std::size_t min_lanes_per_task, LaneRunner runner) {
-  assert(batch.width() == plan.width());
-  placed_for(pool, placement, batch.batch_size(), min_lanes_per_task,
-             [&](std::size_t begin, std::size_t end) {
-               runner(plan, batch, begin, end);
-             });
+// Splits [0, n) into lane ranges and runs a body over each: serially,
+// striped over a pool (ThreadPool::parallel_for) or by placement
+// (placed_for).
+using Partitioner = std::function<void(std::size_t n, const LaneBody&)>;
+
+void serial(std::size_t n, const LaneBody& body) { body(0, n); }
+
+Partitioner striped(ThreadPool* pool) {
+  if (pool == nullptr) return serial;
+  return [pool](std::size_t n, const LaneBody& body) {
+    pool->parallel_for(n, kMinLanesPerTask, body);
+  };
 }
 
-// Pack -> run -> unpack, each shard handling its own lane range end to end
-// (the transposes parallelize with the kernels; lanes are independent).
+Partitioner placed(ThreadPool& pool, const topo::PlacementPlan& placement) {
+  return [&pool, &placement](std::size_t n, const LaneBody& body) {
+    placed_for(pool, placement, n, kMinLanesPerTask, body);
+  };
+}
+
+// Pack -> run -> unpack, each lane range handled end to end (the
+// transposes parallelize with the kernels; lanes are independent).
 std::vector<std::vector<Count>> run_packed(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool* pool, LaneRunner runner) {
+    LaneRunner runner, const Partitioner& partition) {
   Batch<Count> batch(plan.width(), inputs.size());
   std::vector<std::vector<Count>> outs(inputs.size(),
                                        std::vector<Count>(plan.width()));
-  auto shard = [&](std::size_t begin, std::size_t end) {
+  partition(inputs.size(), [&](std::size_t begin, std::size_t end) {
     pack_lanes(batch, inputs, begin, end);
     runner(plan, batch, begin, end);
     unpack_lanes(batch, plan.output_order(), outs, begin, end);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(inputs.size(), 64, shard);
-  } else {
-    shard(0, inputs.size());
-  }
+  });
   return outs;
 }
 
@@ -286,48 +286,30 @@ std::vector<std::vector<Count>> run_packed(
 // comparator gates use the insertion-sort kernel directly (cheaper than
 // the CE expansion when there is no lane dimension to vectorize over).
 template <typename PairKernel, typename WideKernel>
-void scalar_layer(const ExecutionPlan& plan, const ExecutionPlan::Layer& layer,
-                  std::span<Count> values, std::vector<Count>& scratch,
-                  PairKernel pair_kernel, WideKernel wide_kernel) {
-  const auto& pairs = plan.pair_wires();
-  const auto& wides = plan.wide_gates();
-  const auto& wide_wires = plan.wide_wires();
-  for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-    pair_kernel(values[static_cast<std::size_t>(pairs[2 * k])],
-                values[static_cast<std::size_t>(pairs[2 * k + 1])]);
-  }
-  for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
-    const ExecutionPlan::WideGate wg = wides[g];
-    const Wire* ws = wide_wires.data() + wg.first;
-    const std::span<Count> vals(scratch.data(), wg.width);
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      vals[i] = values[static_cast<std::size_t>(ws[i])];
-    }
-    wide_kernel(vals);
-    for (std::uint32_t i = 0; i < wg.width; ++i) {
-      values[static_cast<std::size_t>(ws[i])] = vals[i];
-    }
-  }
-}
-
-template <typename PairKernel, typename WideKernel>
 void run_scalar(const ExecutionPlan& plan, std::span<Count> values,
                 PairKernel pair_kernel, WideKernel wide_kernel) {
   assert(values.size() == plan.width());
+  const auto& pairs = plan.pair_wires();
+  const auto& wides = plan.wide_gates();
+  const auto& wide_wires = plan.wide_wires();
   std::vector<Count> scratch(plan.max_wide_width());
-  if constexpr (obs::compiled_in()) {
-    if (obs::Tracer::shared().active()) {
-      std::size_t li = 0;
-      for (const ExecutionPlan::Layer& layer : plan.layers()) {
-        obs::ScopedSpan span("engine.layer", "layer " + std::to_string(li++),
-                             layer_span_args(layer, 1));
-        scalar_layer(plan, layer, values, scratch, pair_kernel, wide_kernel);
-      }
-      return;
-    }
-  }
   for (const ExecutionPlan::Layer& layer : plan.layers()) {
-    scalar_layer(plan, layer, values, scratch, pair_kernel, wide_kernel);
+    for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
+      pair_kernel(values[static_cast<std::size_t>(pairs[2 * k])],
+                  values[static_cast<std::size_t>(pairs[2 * k + 1])]);
+    }
+    for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
+      const ExecutionPlan::WideGate wg = wides[g];
+      const Wire* ws = wide_wires.data() + wg.first;
+      const std::span<Count> vals(scratch.data(), wg.width);
+      for (std::uint32_t i = 0; i < wg.width; ++i) {
+        vals[i] = values[static_cast<std::size_t>(ws[i])];
+      }
+      wide_kernel(vals);
+      for (std::uint32_t i = 0; i < wg.width; ++i) {
+        values[static_cast<std::size_t>(ws[i])] = vals[i];
+      }
+    }
   }
 }
 
@@ -373,77 +355,14 @@ std::vector<Count> plan_output_counts(const ExecutionPlan& plan,
   return in_output_order(plan, counts);
 }
 
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch) {
-  assert(batch.width() == plan.width());
-  SCNET_COUNTER_ADD("engine.run.batch", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_batch");
-  comparator_runner()(plan, batch, 0, batch.batch_size());
-}
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch) {
-  assert(batch.width() == plan.width());
-  SCNET_COUNTER_ADD("engine.run.batch", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_counts_batch");
-  count_runner()(plan, batch, 0, batch.batch_size());
-}
-
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
-                    ThreadPool& pool, std::size_t min_lanes_per_task) {
-  SCNET_COUNTER_ADD("engine.run.batch", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_batch(pool)");
-  run_sharded(plan, batch, pool, min_lanes_per_task, comparator_runner());
-}
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch, ThreadPool& pool,
-                           std::size_t min_lanes_per_task) {
-  SCNET_COUNTER_ADD("engine.run.batch", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_counts_batch(pool)");
-  run_sharded(plan, batch, pool, min_lanes_per_task, count_runner());
-}
-
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
-                    ThreadPool& pool, const topo::PlacementPlan& placement,
-                    std::size_t min_lanes_per_task) {
-  SCNET_COUNTER_ADD("engine.run.placed", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_batch(placed)");
-  run_placed(plan, batch, pool, placement, min_lanes_per_task,
-             comparator_runner());
-}
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch, ThreadPool& pool,
-                           const topo::PlacementPlan& placement,
-                           std::size_t min_lanes_per_task) {
-  SCNET_COUNTER_ADD("engine.run.placed", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", batch.batch_size());
-  SCNET_TRACE_SPAN("engine", "run_plan_counts_batch(placed)");
-  run_placed(plan, batch, pool, placement, min_lanes_per_task, count_runner());
-}
-
 std::vector<std::vector<Count>> plan_sort_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     ThreadPool& pool, const topo::PlacementPlan& placement) {
   SCNET_COUNTER_ADD("engine.run.placed", 1);
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
   SCNET_TRACE_SPAN("engine", "plan_sort_batch(placed)");
-  Batch<Count> batch(plan.width(), inputs.size());
-  std::vector<std::vector<Count>> outs(inputs.size(),
-                                       std::vector<Count>(plan.width()));
-  const LaneRunner runner = comparator_runner();
-  placed_for(pool, placement, inputs.size(), 64,
-             [&](std::size_t begin, std::size_t end) {
-               pack_lanes(batch, inputs, begin, end);
-               runner(plan, batch, begin, end);
-               unpack_lanes(batch, plan.output_order(), outs, begin, end);
-             });
-  return outs;
+  return run_packed(plan, inputs, lane_runner<Semantics::kComparator>(false),
+                    placed(pool, placement));
 }
 
 std::vector<std::vector<Count>> plan_count_batch(
@@ -452,17 +371,8 @@ std::vector<std::vector<Count>> plan_count_batch(
   SCNET_COUNTER_ADD("engine.run.placed", 1);
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
   SCNET_TRACE_SPAN("engine", "plan_count_batch(placed)");
-  Batch<Count> batch(plan.width(), inputs.size());
-  std::vector<std::vector<Count>> outs(inputs.size(),
-                                       std::vector<Count>(plan.width()));
-  const LaneRunner runner = count_runner();
-  placed_for(pool, placement, inputs.size(), 64,
-             [&](std::size_t begin, std::size_t end) {
-               pack_lanes(batch, inputs, begin, end);
-               runner(plan, batch, begin, end);
-               unpack_lanes(batch, plan.output_order(), outs, begin, end);
-             });
-  return outs;
+  return run_packed(plan, inputs, lane_runner<Semantics::kBalancer>(false),
+                    placed(pool, placement));
 }
 
 std::vector<std::vector<Count>> plan_sort_batch(
@@ -471,7 +381,8 @@ std::vector<std::vector<Count>> plan_sort_batch(
   SCNET_COUNTER_ADD("engine.run.batch", 1);
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
   SCNET_TRACE_SPAN("engine", "plan_sort_batch");
-  return run_packed(plan, inputs, pool, comparator_runner());
+  return run_packed(plan, inputs, lane_runner<Semantics::kComparator>(false),
+                    striped(pool));
 }
 
 std::vector<std::vector<Count>> plan_count_batch(
@@ -480,7 +391,8 @@ std::vector<std::vector<Count>> plan_count_batch(
   SCNET_COUNTER_ADD("engine.run.batch", 1);
   SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
   SCNET_TRACE_SPAN("engine", "plan_count_batch");
-  return run_packed(plan, inputs, pool, count_runner());
+  return run_packed(plan, inputs, lane_runner<Semantics::kBalancer>(false),
+                    striped(pool));
 }
 
 // The runtime-scoped wrappers go through the backend dispatcher: the
@@ -498,4 +410,168 @@ std::vector<std::vector<Count>> plan_count_batch(
   return engine::count_batch(plan, inputs, rt, rt.backend());
 }
 
+// ---------------------------------------------------------------------------
+// Backend dispatch (engine/backend.h).
+
+namespace engine {
+namespace {
+
+void count_dispatch(EngineBackend resolved) {
+  // One switch so every branch hands the macro a literal name (the macro
+  // caches the registry lookup per call site).
+  switch (resolved) {
+    case EngineBackend::kScalar:
+      SCNET_COUNTER_ADD("engine.backend.scalar.dispatches", 1);
+      break;
+    case EngineBackend::kBatch:
+      SCNET_COUNTER_ADD("engine.backend.batch.dispatches", 1);
+      break;
+    case EngineBackend::kSimd:
+      SCNET_COUNTER_ADD("engine.backend.simd.dispatches", 1);
+      break;
+    case EngineBackend::kThreaded:
+      SCNET_COUNTER_ADD("engine.backend.threaded.dispatches", 1);
+      break;
+    case EngineBackend::kAuto:
+      break;  // unreachable: dispatch resolves before counting
+  }
+}
+
+// Builds the span args only when a trace is actually recording — dispatch
+// sits on per-vector paths (verification sweeps), where an unconditional
+// allocation would show up. (Unreferenced when SCNET_OBS is off: the
+// trace macro it feeds compiles to nothing.)
+[[maybe_unused]] std::string dispatch_args(EngineBackend resolved,
+                                           std::size_t lanes) {
+  if constexpr (obs::compiled_in()) {
+    if (obs::Tracer::shared().active()) {
+      return std::string("{\"backend\":\"") + to_string(resolved) +
+             "\",\"lanes\":" + std::to_string(lanes) + "}";
+    }
+  }
+  return {};
+}
+
+// When the runtime sits on a multi-node topology (and placement is on),
+// the threaded tier partitions lanes by PlacementPlan onto node-affine
+// worker groups instead of blind striping; the two are bit-identical
+// (lanes are independent, all boundaries deterministic), so this is
+// purely a locality decision. The placement depends only on plan shape x
+// topology x pool size, all fixed per runtime, so it is solved per call
+// without caching (a handful of integer divisions).
+std::optional<topo::PlacementPlan> placement_for(const ExecutionPlan& plan,
+                                                 Runtime& rt) {
+  if (!rt.placement_enabled() || rt.pool().group_count() <= 1) {
+    return std::nullopt;
+  }
+  topo::PlacementPlan placement =
+      topo::plan_placement(plan, rt.topology(), rt.pool().size());
+  if (!placement.multi_node()) return std::nullopt;
+  return placement;
+}
+
+// Runs every input through the resolved tier; results in logical output
+// order.
+template <Semantics S>
+std::vector<std::vector<Count>> run_tier(
+    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
+    Runtime& rt, EngineBackend tier) {
+  constexpr bool kSort = S == Semantics::kComparator;
+  switch (tier) {
+    case EngineBackend::kBatch:
+      return kSort ? plan_sort_batch(plan, inputs, nullptr)
+                   : plan_count_batch(plan, inputs, nullptr);
+    case EngineBackend::kSimd: {
+      SCNET_COUNTER_ADD("engine.run.batch", 1);
+      SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
+      SCNET_TRACE_SPAN("engine", kSort ? "plan_sort_batch(simd)"
+                                       : "plan_count_batch(simd)");
+      return run_packed(plan, inputs, lane_runner<S>(true), serial);
+    }
+    case EngineBackend::kThreaded:
+      if (const auto placement = placement_for(plan, rt)) {
+        return kSort ? plan_sort_batch(plan, inputs, rt.pool(), *placement)
+                     : plan_count_batch(plan, inputs, rt.pool(), *placement);
+      }
+      return kSort ? plan_sort_batch(plan, inputs, &rt.pool())
+                   : plan_count_batch(plan, inputs, &rt.pool());
+    case EngineBackend::kScalar:
+    case EngineBackend::kAuto:
+      break;
+  }
+  std::vector<std::vector<Count>> outs;
+  outs.reserve(inputs.size());
+  for (const std::vector<Count>& in : inputs) {
+    outs.push_back(kSort ? plan_comparator_output(plan, in)
+                         : plan_output_counts(plan, in));
+  }
+  return outs;
+}
+
+}  // namespace
+
+std::span<const EngineBackend> registered_backends() {
+  static constexpr EngineBackend kAll[] = {
+      EngineBackend::kScalar, EngineBackend::kBatch, EngineBackend::kSimd,
+      EngineBackend::kThreaded};
+  return kAll;
+}
+
+PlanShape plan_shape(const ExecutionPlan& plan) {
+  PlanShape shape;
+  shape.width = plan.width();
+  shape.depth = plan.depth();
+  shape.pair_gates = plan.pair_wires().size() / 2;
+  shape.wide_gates = plan.wide_gates().size();
+  return shape;
+}
+
+EngineBackend resolve_backend(EngineBackend requested,
+                              const ExecutionPlan& plan, std::size_t lanes) {
+  if (requested != EngineBackend::kAuto) return requested;
+  // Machine caps are stable for the process (compile-time SIMD flag,
+  // SCNET_THREADS read once) — sample them once, not per dispatch.
+  static const MachineCaps caps = machine_caps();
+  return select_backend(plan_shape(plan), lanes, caps);
+}
+
+std::vector<Count> sorted_output(const ExecutionPlan& plan,
+                                 std::span<const Count> input,
+                                 EngineBackend /*choice*/) {
+  count_dispatch(EngineBackend::kScalar);
+  SCNET_TRACE_SPAN_ARGS("engine", "dispatch.sorted_output",
+                        dispatch_args(EngineBackend::kScalar, 1));
+  return plan_comparator_output(plan, input);
+}
+
+std::vector<Count> counts_output(const ExecutionPlan& plan,
+                                 std::span<const Count> input,
+                                 EngineBackend /*choice*/) {
+  count_dispatch(EngineBackend::kScalar);
+  SCNET_TRACE_SPAN_ARGS("engine", "dispatch.counts_output",
+                        dispatch_args(EngineBackend::kScalar, 1));
+  return plan_output_counts(plan, input);
+}
+
+std::vector<std::vector<Count>> sort_batch(
+    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
+    Runtime& rt, EngineBackend choice) {
+  const EngineBackend resolved = resolve_backend(choice, plan, inputs.size());
+  count_dispatch(resolved);
+  SCNET_TRACE_SPAN_ARGS("engine", "dispatch.sort_batch",
+                        dispatch_args(resolved, inputs.size()));
+  return run_tier<Semantics::kComparator>(plan, inputs, rt, resolved);
+}
+
+std::vector<std::vector<Count>> count_batch(
+    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
+    Runtime& rt, EngineBackend choice) {
+  const EngineBackend resolved = resolve_backend(choice, plan, inputs.size());
+  count_dispatch(resolved);
+  SCNET_TRACE_SPAN_ARGS("engine", "dispatch.count_batch",
+                        dispatch_args(resolved, inputs.size()));
+  return run_tier<Semantics::kBalancer>(plan, inputs, rt, resolved);
+}
+
+}  // namespace engine
 }  // namespace scn

@@ -4,12 +4,17 @@
 // (sim/comparator_sim.h, sim/count_sim.h):
 //   * scalar: one vector through the plan — drop-in replacement for
 //     apply_comparators / propagate_counts with layer-scheduled kernels;
-//   * batch: a Batch of vectors in SoA layout, layer by layer, so width-2
-//     layers vectorize across the batch dimension;
+//   * batch: a Batch of vectors in SoA layout, run by one cache-blocked
+//     lane runner, so width-2 layers vectorize across the batch dimension;
 //   * threaded batch: lanes are independent, so the batch is sharded into
-//     contiguous lane ranges over a ThreadPool, each shard running the whole
-//     plan. No synchronization is needed between layers, and lane results
-//     cannot depend on the shard boundaries — determinism is structural.
+//     contiguous lane ranges over a ThreadPool, each shard calling the same
+//     lane runner on its range. No synchronization is needed between
+//     layers, and lane results cannot depend on the shard boundaries —
+//     determinism is structural.
+//
+// While a trace is recording, the lane runner times each layer per lane
+// block and records one `engine.layer` event per layer per call
+// (docs/observability.md).
 //
 // Comparator entry points use the default descending numeric order (the
 // fast kernels exist precisely because the order is known); callers needing
@@ -19,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "engine/batch.h"
 #include "engine/execution_plan.h"
 #include "perf/thread_pool.h"
 #include "seq/sequence_props.h"
@@ -51,50 +55,23 @@ void run_plan_counts(const ExecutionPlan& plan, std::span<Count> counts);
                                                     std::span<const Count> input);
 
 // ---------------------------------------------------------------------------
-// Batch tier (SoA).
-
-/// Runs the plan as a comparator network over every lane of `batch` in
-/// place. batch.width() must equal plan.width().
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch);
-
-/// Same for count propagation.
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch);
-
-// ---------------------------------------------------------------------------
-// Threaded batch tier.
-
-/// Shards the batch's lanes across `pool` (contiguous ranges, at least
-/// `min_lanes_per_task` lanes each) and runs the full plan per shard.
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
-                    ThreadPool& pool, std::size_t min_lanes_per_task = 64);
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch, ThreadPool& pool,
-                           std::size_t min_lanes_per_task = 64);
-
-// ---------------------------------------------------------------------------
-// Placed threaded tier.
+// Batch and threaded tiers.
 //
-// Same sharding idea, but the lane split follows a PlacementPlan: one
+// Inputs are packed into an SoA Batch, run through the cache-blocked lane
+// runner, and unpacked in logical output order. With a pool, lanes are
+// sharded into contiguous ranges (at least 64 lanes each), every shard
+// packing, running and unpacking its own range.
+//
+// The placed overloads split lanes by a PlacementPlan instead: one
 // contiguous range per topology node (placement.lane_ranges), each range
 // sub-chunked across that node's worker group and submitted with
-// pool.submit_to_group(), so a lane's whole layer walk stays on its home
-// node. Results are bit-identical to the blind-striping overloads: lanes
-// are independent and all chunk boundaries are pure functions of
-// (lanes, placement), never of scheduling.
+// pool.submit_to_group(), so a lane's whole layer walk — transposes
+// included — stays on its home node. Results are bit-identical to the
+// blind-striping overloads: lanes are independent and all chunk
+// boundaries are pure functions of (lanes, placement), never of
+// scheduling.
 
-void run_plan_batch(const ExecutionPlan& plan, engine::Batch<Count>& batch,
-                    ThreadPool& pool, const topo::PlacementPlan& placement,
-                    std::size_t min_lanes_per_task = 64);
-
-void run_plan_counts_batch(const ExecutionPlan& plan,
-                           engine::Batch<Count>& batch, ThreadPool& pool,
-                           const topo::PlacementPlan& placement,
-                           std::size_t min_lanes_per_task = 64);
-
-/// Placed pack -> run -> unpack (see plan_sort_batch / plan_count_batch
-/// below); the transposes run on the lanes' home nodes too.
+/// Placed pack -> run -> unpack.
 [[nodiscard]] std::vector<std::vector<Count>> plan_sort_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     ThreadPool& pool, const topo::PlacementPlan& placement);
@@ -102,9 +79,6 @@ void run_plan_counts_batch(const ExecutionPlan& plan,
 [[nodiscard]] std::vector<std::vector<Count>> plan_count_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     ThreadPool& pool, const topo::PlacementPlan& placement);
-
-// ---------------------------------------------------------------------------
-// Convenience wrappers.
 
 /// Sorts many input vectors at once: packs them into a Batch, runs the plan
 /// (on `pool` if non-null), and returns each lane's values in logical output
@@ -118,11 +92,11 @@ void run_plan_counts_batch(const ExecutionPlan& plan,
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     ThreadPool* pool = nullptr);
 
-/// Runtime-scoped wrappers: dispatch through the backend registry
-/// (engine/backend.h) under `rt.backend()` — SCNET_BACKEND /
-/// Runtime::Options::backend, default `auto`, which picks the tier from
-/// plan shape x lane count x machine caps. Outputs are bit-identical to
-/// the explicit-pool overloads on every backend.
+/// Runtime-scoped wrappers: dispatch through engine/backend.h under
+/// `rt.backend()` — SCNET_BACKEND / Runtime::Options::backend, default
+/// `auto`, which picks the tier from plan shape x lane count x machine
+/// caps. Outputs are bit-identical to the explicit-pool overloads on
+/// every backend.
 [[nodiscard]] std::vector<std::vector<Count>> plan_sort_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     Runtime& rt);

@@ -28,11 +28,11 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Whether cells on this backend must run alone (they dispatch onto the
-/// runtime pool, so sibling sweep workers would perturb the measurement
-/// and be perturbed by it).
+/// Whether cells on this backend must run alone: only the threaded
+/// backend dispatches onto the runtime pool, where sibling sweep workers
+/// would perturb the measurement and be perturbed by it.
 bool exclusive_backend(EngineBackend backend) {
-  return engine::backend(backend).caps().uses_pool;
+  return backend == EngineBackend::kThreaded;
 }
 
 std::uint64_t cell_seed(std::uint64_t base, std::size_t index) {

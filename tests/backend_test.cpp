@@ -1,16 +1,18 @@
 // The backend registry and its dispatch policy: name/parse round-trips,
-// capability descriptors, select_backend() threshold behavior, kAuto
-// resolution against real plans, and the Runtime/plan-cache plumbing that
+// select_backend() threshold behavior, kAuto resolution against real
+// plans, the dispatch counters, and the Runtime/plan-cache plumbing that
 // carries a backend request from SCNET_BACKEND / Runtime::Options to the
 // dispatcher. Bit-identity of the backends themselves is pinned by the
 // randomized sweep in engine_cross_check_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "engine/execution_plan.h"
 #include "engine/kernels.h"
 #include "engine/simd_kernels.h"
+#include "obs/metrics.h"
 #include "opt/plan_cache.h"
 #include "runtime/runtime.h"
 #include "seq/generators.h"
@@ -49,23 +52,10 @@ TEST(BackendRegistry, FourConcreteBackendsWithDistinctNames) {
   EXPECT_EQ(all[1], EngineBackend::kBatch);
   EXPECT_EQ(all[2], EngineBackend::kSimd);
   EXPECT_EQ(all[3], EngineBackend::kThreaded);
-  for (const EngineBackend b : all) {
-    EXPECT_STREQ(engine::backend(b).name(), to_string(b));
-  }
-}
-
-TEST(BackendRegistry, CapabilityDescriptors) {
-  EXPECT_FALSE(engine::backend(EngineBackend::kScalar).caps().lane_parallel);
-  EXPECT_TRUE(engine::backend(EngineBackend::kBatch).caps().lane_parallel);
-  EXPECT_TRUE(engine::backend(EngineBackend::kSimd).caps().lane_parallel);
-  const engine::BackendCaps threaded =
-      engine::backend(EngineBackend::kThreaded).caps();
-  EXPECT_TRUE(threaded.lane_parallel);
-  EXPECT_TRUE(threaded.uses_pool);
-  EXPECT_EQ(threaded.min_profitable_lanes, kThreadedMinLanes);
-  // explicit_simd reports the build truth, whatever it is on this host.
-  EXPECT_EQ(engine::backend(EngineBackend::kSimd).caps().explicit_simd,
-            engine::simd::compiled_in());
+  std::set<std::string> names;
+  for (const EngineBackend b : all) names.insert(to_string(b));
+  EXPECT_EQ(names.size(), all.size());
+  EXPECT_EQ(names.count("auto"), 0u);
 }
 
 TEST(DispatchPolicy, SingleLaneIsAlwaysScalar) {
@@ -213,6 +203,37 @@ TEST(BackendDispatch, SingleVectorEntryPointsMatchScalarReference) {
             ref_sorted);
   EXPECT_EQ(engine::counts_output(plan, in, EngineBackend::kAuto),
             ref_counts);
+}
+
+TEST(BackendDispatch, SingleVectorCallsCountTheScalarTierThatRan) {
+  // One vector always runs the scalar tier, whatever the request, so the
+  // dispatch counter must name scalar too — never the requested backend.
+  if (!obs::compiled_in()) GTEST_SKIP() << "metrics compiled out";
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::shared();
+  const auto dispatches = [&](EngineBackend b) {
+    return registry.value(std::string("engine.backend.") + to_string(b) +
+                          ".dispatches");
+  };
+  const ExecutionPlan plan = compile_plan(make_k_network({2, 2}));
+  const std::vector<Count> in = {3, 1, 4, 1};
+  for (const EngineBackend requested : engine::registered_backends()) {
+    std::vector<std::uint64_t> before;
+    for (const EngineBackend b : engine::registered_backends()) {
+      before.push_back(dispatches(b));
+    }
+    const std::uint64_t scalar_runs = registry.value("engine.run.scalar");
+    static_cast<void>(engine::sorted_output(plan, in, requested));
+    static_cast<void>(engine::counts_output(plan, in, requested));
+    std::size_t i = 0;
+    for (const EngineBackend b : engine::registered_backends()) {
+      EXPECT_EQ(dispatches(b) - before[i++],
+                b == EngineBackend::kScalar ? 2u : 0u)
+          << "requested " << to_string(requested) << ", counter "
+          << to_string(b);
+    }
+    EXPECT_EQ(registry.value("engine.run.scalar") - scalar_runs, 2u)
+        << "requested " << to_string(requested);
+  }
 }
 
 TEST(SimdKernels, PairRowsMatchScalarKernels) {

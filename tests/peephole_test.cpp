@@ -218,7 +218,7 @@ TEST(PeepholeOptimal, RewrittenPlansAreBitIdenticalAcrossBackends) {
       engine::sort_batch(plan, inputs, rt, EngineBackend::kScalar);
   for (const EngineBackend which : engine::registered_backends()) {
     EXPECT_EQ(engine::sort_batch(plan, inputs, rt, which), reference)
-        << "backend " << engine::backend(which).name();
+        << "backend " << to_string(which);
   }
 }
 

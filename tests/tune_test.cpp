@@ -8,9 +8,11 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/k_network.h"
 #include "core/planner.h"
+#include "engine/backend.h"
 #include "tune/experiment.h"
 #include "tune/profile.h"
 
@@ -267,6 +269,40 @@ TEST(ExperimentManager, ThreadAxisCollapsesForNonPoolBackends) {
 
   config.axes.backends = {EngineBackend::kThreaded};
   EXPECT_EQ(ExperimentManager(config).cells().size(), 3u);
+}
+
+TEST(ExperimentManager, OnlyThreadedCellsUseThePoolAndRunAlone) {
+  // The threaded backend is the only one that dispatches onto the runtime
+  // pool: only its cells sweep the thread axis, and they run after every
+  // other cell, one at a time, even when listed first.
+  ExperimentConfig config;
+  config.axes.networks = {NetworkSpec::member(NetworkKind::kK, {2, 2})};
+  config.axes.thread_counts = {1, 2};
+  config.axes.batch_sizes = {8};
+  for (const EngineBackend b : engine::registered_backends()) {
+    config.axes.backends = {b};
+    EXPECT_EQ(ExperimentManager(config).cells().size(),
+              b == EngineBackend::kThreaded ? 2u : 1u)
+        << to_string(b);
+  }
+
+  config.axes.backends = {EngineBackend::kThreaded, EngineBackend::kScalar,
+                          EngineBackend::kBatch, EngineBackend::kSimd};
+  config.reps = 1;
+  config.max_cell_seconds = 10.0;
+  config.parallelism = 2;
+  ExperimentManager manager(config);
+  std::vector<EngineBackend> order;
+  manager.set_progress(
+      [&order](const CellResult& r) { order.push_back(r.cell.backend); });
+  const auto results = manager.run();
+  ASSERT_EQ(results.size(), 5u);
+  ASSERT_EQ(order.size(), 5u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i] == EngineBackend::kThreaded, i >= 3)
+        << "cell " << i << " ran on " << to_string(order[i]);
+  }
+  for (const CellResult& r : results) EXPECT_TRUE(r.ok) << r.error;
 }
 
 TEST(ExperimentManager, QuickRunMeasuresAndConvertsToProfileCells) {
