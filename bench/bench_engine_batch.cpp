@@ -25,6 +25,7 @@
 
 #include "baseline/bitonic.h"
 #include "bench_common.h"
+#include "core/family.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
 #include "engine/batch_engine.h"
@@ -228,6 +229,23 @@ void BM_PlanCountBatchK64(benchmark::State& state) {
               });
 }
 BENCHMARK(BM_PlanCountBatchK64)->Unit(benchmark::kMillisecond);
+
+// L(720) with comparator cap 8, the benchmark suite's middle network: its
+// wide balancers (widths 4 to 8) run the fixed-width count kernels.
+const Network& l720() {
+  static const Network net =
+      make_network_for_width(720, 8, NetworkKind::kL);
+  return net;
+}
+
+void BM_PlanCountBatchL720(benchmark::State& state) {
+  batch_bench(state, l720(),
+              [](const Network&, const ExecutionPlan& plan,
+                 const std::vector<std::vector<Count>>& inputs) {
+                return plan_count_batch(plan, inputs);
+              });
+}
+BENCHMARK(BM_PlanCountBatchL720)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

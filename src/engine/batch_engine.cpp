@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "engine/simd_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "opt/expand.h"
 #include "opt/pass.h"
 #include "runtime/runtime.h"
 #include "topo/topology.h"
@@ -52,6 +54,47 @@ void count_rows(Count* hi, Count* lo, std::size_t n) {
 }
 
 using PairRows = void (*)(Count*, Count*, std::size_t);
+
+// Runs one wide gate of width 3..kMaxFixedWidth over n lanes through its
+// in-register kernel. Returns false, running nothing, for a wider gate.
+// `row(w)` is wire w's row, offset to the first lane.
+template <Semantics S, typename RowOf>
+bool run_fixed_gate(const Wire* ws, std::uint32_t width, std::size_t n,
+                    RowOf row) {
+  return engine::with_fixed_width(width, [&](auto p) {
+    constexpr std::size_t P = decltype(p)::value;
+    engine::GateRows<P> rows;
+    for (std::size_t i = 0; i < P; ++i) rows[i] = row(ws[i]);
+    if constexpr (S == Semantics::kBalancer) {
+      engine::count_gate_rows(rows, n);
+    } else {
+      engine::sort_gate_rows(rows, n);
+    }
+  });
+}
+
+// Where each wide gate's compare-exchanges start in plan.ce_wires(). The
+// table lists every wide gate's Batcher expansion in gate order, so gate g
+// owns CEs [starts[g], starts[g + 1]). Only gates wider than the fixed
+// kernels run them, so a plan without such gates gets an empty table. A
+// gate's CE count depends only on its width: it is counted once per width.
+std::vector<std::uint32_t> ce_starts(const ExecutionPlan& plan) {
+  if (plan.max_wide_width() <= engine::kMaxFixedWidth) return {};
+  std::vector<std::uint32_t> per_width(plan.max_wide_width() + 1, 0);
+  std::vector<std::uint32_t> starts(plan.wide_gates().size() + 1, 0);
+  for (std::size_t g = 0; g < plan.wide_gates().size(); ++g) {
+    const std::uint32_t width = plan.wide_gates()[g].width;
+    if (per_width[width] == 0) {
+      std::vector<Wire> ws(width);
+      std::iota(ws.begin(), ws.end(), Wire{0});
+      std::vector<Wire> ces;
+      append_wide_gate_ce(ws, ces);
+      per_width[width] = static_cast<std::uint32_t>(ces.size() / 2);
+    }
+    starts[g + 1] = starts[g] + per_width[width];
+  }
+  return starts;
+}
 
 std::string layer_args(const ExecutionPlan::Layer& layer, std::size_t lanes) {
   const auto pairs = layer.pair_end - layer.pair_begin;
@@ -104,18 +147,18 @@ class LayerClock {
   std::uint64_t last_ns_ = 0;
 };
 
-// The lane runner every lane-parallel tier calls: the full plan over lanes
-// [lane_begin, lane_end), one kExecBlock lane block at a time. Comparator
-// semantics run every gate as a width-2 compare-exchange — wider gates
-// through their compile-time CE expansion. Count semantics run width-2
-// gates through `pair_rows`; a wide balancer is irreducible (a width-p
-// balancer is not a network of 2-balancers), so it runs as the row kernel
-// engine::wide_count_rows over the block, with `scratch` (2 counts per
-// lane) as its quotient and remainder rows.
+// The lane runner every lane-parallel tier calls: the full plan over every
+// lane of `batch`, one kExecBlock lane block at a time. Width-2 gates run
+// through `pair_rows`. A wide gate of width <= kMaxFixedWidth runs as one
+// in-register kernel over the block. A wider comparator runs its Batcher
+// CE expansion through `pair_rows`; a wider balancer is irreducible (a
+// width-p balancer is not a network of 2-balancers), so it runs as the row
+// kernel engine::wide_count_rows, with `scratch` (2 counts per lane) as its
+// quotient and remainder rows.
 template <Semantics S, PairRows pair_rows>
-void run_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
-               std::size_t lane_begin, std::size_t lane_end) {
+void run_lanes(const ExecutionPlan& plan, Batch<Count>& batch) {
   constexpr bool kCount = S == Semantics::kBalancer;
+  const std::size_t lanes = batch.batch_size();
   const auto& layers = plan.layers();
   const auto& pairs = plan.pair_wires();
   const auto& ces = plan.ce_wires();
@@ -124,37 +167,39 @@ void run_lanes(const ExecutionPlan& plan, Batch<Count>& batch,
   const auto row = [&](Wire w) {
     return batch.row(static_cast<std::size_t>(w)).data();
   };
+  const bool wider = plan.max_wide_width() > engine::kMaxFixedWidth;
   std::vector<Count> scratch(
-      kCount && !wides.empty()
-          ? 2 * std::min(kExecBlock, lane_end - lane_begin)
-          : 0);
+      kCount && wider ? 2 * std::min(kExecBlock, lanes) : 0);
+  const std::vector<std::uint32_t> ce_first =
+      kCount ? std::vector<std::uint32_t>{} : ce_starts(plan);
   LayerClock clock(layers.size());
-  for (std::size_t b = lane_begin; b < lane_end; b += kExecBlock) {
-    const std::size_t n = std::min(kExecBlock, lane_end - b);
+  for (std::size_t b = 0; b < lanes; b += kExecBlock) {
+    const std::size_t n = std::min(kExecBlock, lanes - b);
+    const auto block_row = [&](Wire w) { return row(w) + b; };
     for (std::size_t li = 0; li < layers.size(); ++li) {
       const ExecutionPlan::Layer& layer = layers[li];
       for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
         pair_rows(row(pairs[2 * k]) + b, row(pairs[2 * k + 1]) + b, n);
       }
-      if constexpr (kCount) {
-        for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
-          const ExecutionPlan::WideGate wg = wides[g];
-          engine::wide_count_rows(
-              batch, {wide_wires.data() + wg.first, wg.width}, b, n, scratch);
-        }
-      } else {
-        for (std::uint32_t k = layer.ce_begin; k < layer.ce_end; ++k) {
-          pair_rows(row(ces[2 * k]) + b, row(ces[2 * k + 1]) + b, n);
+      for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
+        const ExecutionPlan::WideGate wg = wides[g];
+        const Wire* ws = wide_wires.data() + wg.first;
+        if (run_fixed_gate<S>(ws, wg.width, n, block_row)) continue;
+        if constexpr (kCount) {
+          engine::wide_count_rows(batch, {ws, wg.width}, b, n, scratch);
+        } else {
+          for (std::uint32_t k = ce_first[g]; k < ce_first[g + 1]; ++k) {
+            pair_rows(row(ces[2 * k]) + b, row(ces[2 * k + 1]) + b, n);
+          }
         }
       }
       clock.tick(li);
     }
   }
-  clock.record(plan, lane_end - lane_begin);
+  clock.record(plan, lanes);
 }
 
-using LaneRunner = void (*)(const ExecutionPlan&, Batch<Count>&, std::size_t,
-                            std::size_t);
+using LaneRunner = void (*)(const ExecutionPlan&, Batch<Count>&);
 
 // The runner instance for a semantics and a choice of width-2 row kernel.
 template <Semantics S>
@@ -168,27 +213,25 @@ LaneRunner lane_runner(bool explicit_simd) {
   }
 }
 
-// Packs input vectors [lane_begin, lane_end) into the batch, lane blocks
-// keeping each input vector hot while its elements scatter across rows.
+// Packs input vector j into lane j of the batch, lane blocks keeping each
+// input vector hot while its elements scatter across rows.
 void pack_lanes(Batch<Count>& batch,
-                std::span<const std::vector<Count>> inputs,
-                std::size_t lane_begin, std::size_t lane_end) {
+                std::span<const std::vector<Count>> inputs) {
   const std::size_t width = batch.width();
-  for (std::size_t b = lane_begin; b < lane_end; b += kLaneBlock) {
-    const std::size_t e = std::min(b + kLaneBlock, lane_end);
+  for (std::size_t b = 0; b < inputs.size(); b += kLaneBlock) {
+    const std::size_t e = std::min(b + kLaneBlock, inputs.size());
     for (std::size_t w = 0; w < width; ++w) {
       for (std::size_t j = b; j < e; ++j) batch.at(w, j) = inputs[j][w];
     }
   }
 }
 
-// Gathers lanes [lane_begin, lane_end) into per-lane vectors in logical
-// output order, same blocking as pack_lanes.
+// Gathers lane j into outs[j] in logical output order, same blocking as
+// pack_lanes.
 void unpack_lanes(const Batch<Count>& batch, std::span<const Wire> order,
-                  std::span<std::vector<Count>> outs, std::size_t lane_begin,
-                  std::size_t lane_end) {
-  for (std::size_t b = lane_begin; b < lane_end; b += kLaneBlock) {
-    const std::size_t e = std::min(b + kLaneBlock, lane_end);
+                  std::span<std::vector<Count>> outs) {
+  for (std::size_t b = 0; b < outs.size(); b += kLaneBlock) {
+    const std::size_t e = std::min(b + kLaneBlock, outs.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
       const auto w = static_cast<std::size_t>(order[i]);
       for (std::size_t j = b; j < e; ++j) outs[j][i] = batch.at(w, j);
@@ -267,45 +310,64 @@ Partitioner placed(ThreadPool& pool, const topo::PlacementPlan& placement) {
 }
 
 // Pack -> run -> unpack, each lane range handled end to end (the
-// transposes parallelize with the kernels; lanes are independent).
+// transposes parallelize with the kernels; lanes are independent). Each
+// range gets its own Batch: ranges of one shared Batch would meet inside
+// cache lines of every row, and two pool threads would write those lines.
 std::vector<std::vector<Count>> run_packed(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     LaneRunner runner, const Partitioner& partition) {
-  Batch<Count> batch(plan.width(), inputs.size());
   std::vector<std::vector<Count>> outs(inputs.size(),
                                        std::vector<Count>(plan.width()));
   partition(inputs.size(), [&](std::size_t begin, std::size_t end) {
-    pack_lanes(batch, inputs, begin, end);
-    runner(plan, batch, begin, end);
-    unpack_lanes(batch, plan.output_order(), outs, begin, end);
+    Batch<Count> batch(plan.width(), end - begin);
+    pack_lanes(batch, inputs.subspan(begin, end - begin));
+    runner(plan, batch);
+    unpack_lanes(batch, plan.output_order(),
+                 std::span(outs).subspan(begin, end - begin));
   });
   return outs;
 }
 
-// Scalar traversal: same layer walk on a single per-wire vector. Wide
-// comparator gates use the insertion-sort kernel directly (cheaper than
-// the CE expansion when there is no lane dimension to vectorize over).
-template <typename PairKernel, typename WideKernel>
-void run_scalar(const ExecutionPlan& plan, std::span<Count> values,
-                PairKernel pair_kernel, WideKernel wide_kernel) {
+// Scalar traversal: same layer walk on a single per-wire vector. Gates up
+// to kMaxFixedWidth run their in-register kernel over this one lane; a
+// wider comparator uses the insertion-sort kernel (cheaper than the CE
+// expansion when there is no lane dimension to vectorize over).
+template <Semantics S>
+void run_scalar(const ExecutionPlan& plan, std::span<Count> values) {
+  constexpr bool kCount = S == Semantics::kBalancer;
   assert(values.size() == plan.width());
   const auto& pairs = plan.pair_wires();
   const auto& wides = plan.wide_gates();
   const auto& wide_wires = plan.wide_wires();
-  std::vector<Count> scratch(plan.max_wide_width());
+  const auto slot = [&](Wire w) {
+    return values.data() + static_cast<std::size_t>(w);
+  };
+  std::vector<Count> scratch(
+      plan.max_wide_width() > engine::kMaxFixedWidth ? plan.max_wide_width()
+                                                     : 0);
   for (const ExecutionPlan::Layer& layer : plan.layers()) {
     for (std::uint32_t k = layer.pair_begin; k < layer.pair_end; ++k) {
-      pair_kernel(values[static_cast<std::size_t>(pairs[2 * k])],
-                  values[static_cast<std::size_t>(pairs[2 * k + 1])]);
+      Count& hi = values[static_cast<std::size_t>(pairs[2 * k])];
+      Count& lo = values[static_cast<std::size_t>(pairs[2 * k + 1])];
+      if constexpr (kCount) {
+        engine::pair_count_kernel(hi, lo);
+      } else {
+        engine::pair_sort_kernel(hi, lo);
+      }
     }
     for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
       const ExecutionPlan::WideGate wg = wides[g];
       const Wire* ws = wide_wires.data() + wg.first;
+      if (run_fixed_gate<S>(ws, wg.width, 1, slot)) continue;
       const std::span<Count> vals(scratch.data(), wg.width);
       for (std::uint32_t i = 0; i < wg.width; ++i) {
         vals[i] = values[static_cast<std::size_t>(ws[i])];
       }
-      wide_kernel(vals);
+      if constexpr (kCount) {
+        engine::wide_count_kernel(vals);
+      } else {
+        engine::small_sort_descending(vals);
+      }
       for (std::uint32_t i = 0; i < wg.width; ++i) {
         values[static_cast<std::size_t>(ws[i])] = vals[i];
       }
@@ -328,9 +390,7 @@ std::vector<Count> in_output_order(const ExecutionPlan& plan,
 void run_plan(const ExecutionPlan& plan, std::span<Count> values) {
   SCNET_COUNTER_ADD("engine.run.scalar", 1);
   SCNET_TRACE_SPAN("engine", "run_plan");
-  run_scalar(plan, values,
-             [](Count& hi, Count& lo) { engine::pair_sort_kernel(hi, lo); },
-             [](std::span<Count> vals) { engine::small_sort_descending(vals); });
+  run_scalar<Semantics::kComparator>(plan, values);
 }
 
 std::vector<Count> plan_comparator_output(const ExecutionPlan& plan,
@@ -343,9 +403,7 @@ std::vector<Count> plan_comparator_output(const ExecutionPlan& plan,
 void run_plan_counts(const ExecutionPlan& plan, std::span<Count> counts) {
   SCNET_COUNTER_ADD("engine.run.scalar", 1);
   SCNET_TRACE_SPAN("engine", "run_plan_counts");
-  run_scalar(plan, counts,
-             [](Count& hi, Count& lo) { engine::pair_count_kernel(hi, lo); },
-             [](std::span<Count> vals) { engine::wide_count_kernel(vals); });
+  run_scalar<Semantics::kBalancer>(plan, counts);
 }
 
 std::vector<Count> plan_output_counts(const ExecutionPlan& plan,

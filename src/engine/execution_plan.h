@@ -17,9 +17,9 @@
 //     (the count path needs the gate as a unit: a width-p balancer is NOT a
 //     network of 2-balancers — that is the paper's Figure 3 point), and are
 //     ADDITIONALLY expanded into a compare-exchange pair sequence (Batcher
-//     odd-even, relabeled onto the gate's physical wires) so the comparator
-//     path runs branchless min/max only, with no per-lane gather/scatter in
-//     the batch runtime.
+//     odd-even, relabeled onto the gate's physical wires). The engine runs
+//     a gate of width <= 8 as one in-register kernel (engine/kernels.h);
+//     the expansion is the comparator path's fallback for wider gates.
 //
 // The plan is a pure description: all execution entry points live in
 // engine/batch_engine.h, and the same plan drives both comparator values and
@@ -79,10 +79,13 @@ class ExecutionPlan {
     return wide_wires_;
   }
   /// Compare-exchange expansion of the wide gates (comparator semantics
-  /// only): flattened (hi, lo) wire pairs, executed in order. Within a
-  /// layer, pairs from different gates never share wires; pairs from the
-  /// same gate form a Batcher odd-even sorting network over its wires,
-  /// relabeled so the sorted result lands per the gate's listed order.
+  /// only): flattened (hi, lo) wire pairs, every wide gate's pairs in gate
+  /// order. Within a layer, pairs from different gates never share wires;
+  /// pairs from the same gate form a Batcher odd-even sorting network over
+  /// its wires, relabeled so the sorted result lands per the gate's listed
+  /// order. The engine executes only the pairs of gates wider than
+  /// engine::kMaxFixedWidth (8); narrower gates run their fixed-width
+  /// kernel, so this table counts more compare-exchanges than run.
   [[nodiscard]] const std::vector<Wire>& ce_wires() const { return ce_wires_; }
   /// Same as Network::output_order().
   [[nodiscard]] const std::vector<Wire>& output_order() const {

@@ -31,6 +31,14 @@ std::uint64_t metric(Runtime& rt, std::string_view name) {
   return rt.metrics().value(name);
 }
 
+// Options for the cache-isolation tests: the module cache is their subject,
+// so it is pinned on rather than left to SCNET_MODULE_CACHE.
+Runtime::Options module_cache_on() {
+  Runtime::Options options;
+  options.module_cache = true;
+  return options;
+}
+
 TEST(Runtime, SharedFrontsTheProcessWideSingletons) {
   Runtime& rt = Runtime::shared();
   EXPECT_TRUE(rt.is_shared());
@@ -42,8 +50,8 @@ TEST(Runtime, SharedFrontsTheProcessWideSingletons) {
 }
 
 TEST(Runtime, PrivateRuntimesShareNoCacheOrMetricState) {
-  Runtime rt1;
-  Runtime rt2;
+  Runtime rt1(module_cache_on());
+  Runtime rt2(module_cache_on());
   EXPECT_FALSE(rt1.is_shared());
   EXPECT_NE(&rt1.module_cache(), &rt2.module_cache());
   EXPECT_NE(&rt1.plan_cache(), &rt2.plan_cache());
@@ -138,7 +146,7 @@ TEST(Runtime, ScnetThreadsEnvSizesDefaultPools) {
 }
 
 TEST(Runtime, ClearCachesResetsRegistryCountersWithThePurge) {
-  Runtime rt;
+  Runtime rt(module_cache_on());
   const Network net = make_k_network({2, 3, 4}, rt);
   (void)rt.compiled(net);
   (void)rt.compiled(net);  // plan-cache hit
@@ -157,7 +165,7 @@ TEST(Runtime, ClearCachesResetsRegistryCountersWithThePurge) {
 }
 
 TEST(Runtime, ApiOverloadsAreRuntimeScoped) {
-  Runtime rt;
+  Runtime rt(module_cache_on());
   const Network net = make_k_network({2, 2, 3}, rt);
   (void)rt.compiled(net);
   const CacheStatsReport stats = cache_stats(rt);
