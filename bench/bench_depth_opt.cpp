@@ -79,10 +79,11 @@ bool backends_bit_identical(const Network& optimized) {
   Runtime rt;
   const ExecutionPlan plan = compile_plan(optimized);
   const auto inputs = bench::random_inputs(optimized.width(), 256, 4321);
-  const auto reference =
-      engine::sort_batch(plan, inputs, rt, EngineBackend::kScalar);
+  const auto reference = engine::run(plan, Semantics::kComparator, inputs,
+                                     rt, EngineBackend::kScalar);
   for (const EngineBackend which : engine::registered_backends()) {
-    if (engine::sort_batch(plan, inputs, rt, which) != reference) {
+    if (engine::run(plan, Semantics::kComparator, inputs, rt, which) !=
+        reference) {
       return false;
     }
   }

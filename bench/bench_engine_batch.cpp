@@ -28,9 +28,9 @@
 #include "core/family.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
-#include "engine/batch_engine.h"
+#include "engine/backend.h"
 #include "engine/execution_plan.h"
-#include "perf/thread_pool.h"
+#include "runtime/runtime.h"
 #include "sim/comparator_sim.h"
 #include "tune/experiment.h"
 
@@ -196,7 +196,7 @@ void BM_PlanScalarK64(benchmark::State& state) {
                  const std::vector<std::vector<Count>>& inputs) {
                 std::vector<Count> last;
                 for (const auto& in : inputs) {
-                  last = plan_comparator_output(plan, in);
+                  last = engine::run(plan, Semantics::kComparator, in);
                 }
                 return last;
               });
@@ -207,7 +207,8 @@ void BM_PlanBatchK64(benchmark::State& state) {
   batch_bench(state, k64(),
               [](const Network&, const ExecutionPlan& plan,
                  const std::vector<std::vector<Count>>& inputs) {
-                return plan_sort_batch(plan, inputs);
+                return engine::run(plan, Semantics::kComparator, inputs,
+                                   Runtime::shared(), EngineBackend::kBatch);
               });
 }
 BENCHMARK(BM_PlanBatchK64)->Unit(benchmark::kMillisecond);
@@ -216,7 +217,9 @@ void BM_PlanThreadedK64(benchmark::State& state) {
   batch_bench(state, k64(),
               [](const Network&, const ExecutionPlan& plan,
                  const std::vector<std::vector<Count>>& inputs) {
-                return plan_sort_batch(plan, inputs, &ThreadPool::shared());
+                return engine::run(plan, Semantics::kComparator, inputs,
+                                   Runtime::shared(),
+                                   EngineBackend::kThreaded);
               });
 }
 BENCHMARK(BM_PlanThreadedK64)->Unit(benchmark::kMillisecond);
@@ -225,7 +228,8 @@ void BM_PlanCountBatchK64(benchmark::State& state) {
   batch_bench(state, k64(),
               [](const Network&, const ExecutionPlan& plan,
                  const std::vector<std::vector<Count>>& inputs) {
-                return plan_count_batch(plan, inputs);
+                return engine::run(plan, Semantics::kBalancer, inputs,
+                                   Runtime::shared(), EngineBackend::kBatch);
               });
 }
 BENCHMARK(BM_PlanCountBatchK64)->Unit(benchmark::kMillisecond);
@@ -242,7 +246,8 @@ void BM_PlanCountBatchL720(benchmark::State& state) {
   batch_bench(state, l720(),
               [](const Network&, const ExecutionPlan& plan,
                  const std::vector<std::vector<Count>>& inputs) {
-                return plan_count_batch(plan, inputs);
+                return engine::run(plan, Semantics::kBalancer, inputs,
+                                   Runtime::shared(), EngineBackend::kBatch);
               });
 }
 BENCHMARK(BM_PlanCountBatchL720)->Unit(benchmark::kMillisecond);

@@ -32,11 +32,12 @@
 #include "bench_common.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
-#include "engine/batch_engine.h"
+#include "engine/backend.h"
 #include "engine/execution_plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perf/contention_model.h"
+#include "runtime/runtime.h"
 #include "seq/generators.h"
 #include "sim/concurrent_sim.h"
 
@@ -214,11 +215,18 @@ const Network& k64() {
   return net;
 }
 
+// The single-threaded SoA batch tier.
+std::vector<std::vector<Count>> sort_batch(
+    const ExecutionPlan& plan, const std::vector<std::vector<Count>>& inputs) {
+  return engine::run(plan, Semantics::kComparator, inputs, Runtime::shared(),
+                     EngineBackend::kBatch);
+}
+
 void BM_BatchIdle(benchmark::State& state) {
   const ExecutionPlan plan = compile_plan(k64());
   const auto inputs = make_inputs(k64().width(), kBatch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan_sort_batch(plan, inputs));
+    benchmark::DoNotOptimize(sort_batch(plan, inputs));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kBatch));
@@ -230,7 +238,7 @@ void BM_BatchTraced(benchmark::State& state) {
   const auto inputs = make_inputs(k64().width(), kBatch);
   obs::Tracer::shared().start();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan_sort_batch(plan, inputs));
+    benchmark::DoNotOptimize(sort_batch(plan, inputs));
     // Keep the buffer small so late iterations pay what early ones do.
     obs::Tracer::shared().clear();
   }
@@ -248,10 +256,10 @@ int main(int argc, char** argv) {
   const auto inputs = make_inputs(k64().width(), kBatch);
 
   const OverheadResult batch = measure_overhead(
-      [&] { benchmark::DoNotOptimize(plan_sort_batch(plan, inputs)); });
+      [&] { benchmark::DoNotOptimize(sort_batch(plan, inputs)); });
   const OverheadResult scalar = measure_overhead([&] {
     for (const auto& in : inputs) {
-      benchmark::DoNotOptimize(plan_comparator_output(plan, in));
+      benchmark::DoNotOptimize(engine::run(plan, Semantics::kComparator, in));
     }
   });
 

@@ -28,7 +28,7 @@
 #include "bench_common.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
-#include "engine/batch_engine.h"
+#include "engine/backend.h"
 #include "engine/execution_plan.h"
 #include "net/transform.h"
 #include "opt/pass.h"
@@ -100,12 +100,16 @@ Measurement measure(const char* name, const Network& net) {
   const double t_miss = best_time([&] {
     e2e_cache.clear();  // every call pays pipeline + plan compilation
     const CachedPlan cached = e2e_cache.compiled(net, PassLevel::kDefault);
-    benchmark::DoNotOptimize(plan_sort_batch(*cached.plan, inputs));
+    benchmark::DoNotOptimize(engine::run(*cached.plan, Semantics::kComparator,
+                                         inputs, Runtime::shared(),
+                                         EngineBackend::kBatch));
   });
   (void)e2e_cache.compiled(net, PassLevel::kDefault);
   const double t_hit = best_time([&] {
     const CachedPlan cached = e2e_cache.compiled(net, PassLevel::kDefault);
-    benchmark::DoNotOptimize(plan_sort_batch(*cached.plan, inputs));
+    benchmark::DoNotOptimize(engine::run(*cached.plan, Semantics::kComparator,
+                                         inputs, Runtime::shared(),
+                                         EngineBackend::kBatch));
   });
   m.e2e_miss_vps = n / t_miss;
   m.e2e_hit_vps = n / t_hit;

@@ -96,7 +96,8 @@ void backend_bench(benchmark::State& state, EngineBackend b) {
   const auto inputs = bench::random_inputs(net.width(), 4096, 2024);
   Runtime rt;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine::sort_batch(plan, inputs, rt, b));
+    benchmark::DoNotOptimize(
+        engine::run(plan, Semantics::kComparator, inputs, rt, b));
   }
   state.SetItemsProcessed(state.iterations() * 4096);
 }

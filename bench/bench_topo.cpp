@@ -64,8 +64,8 @@ Runtime::Options runtime_options(bool placement) {
 double sort_vps(Runtime& rt, const ExecutionPlan& plan,
                 const std::vector<std::vector<Count>>& inputs) {
   const double secs = bench::best_time([&] {
-    benchmark::DoNotOptimize(
-        engine::sort_batch(plan, inputs, rt, EngineBackend::kThreaded));
+    benchmark::DoNotOptimize(engine::run(plan, Semantics::kComparator,
+                                         inputs, rt, EngineBackend::kThreaded));
   });
   return secs > 0 ? static_cast<double>(inputs.size()) / secs : 0.0;
 }
@@ -176,8 +176,8 @@ void BM_PlacedSort(benchmark::State& state) {
   const ExecutionPlan plan = compile_plan(net);
   const auto inputs = bench::random_inputs(net.width(), kLanes, 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine::sort_batch(plan, inputs, rt, EngineBackend::kThreaded));
+    benchmark::DoNotOptimize(engine::run(plan, Semantics::kComparator,
+                                         inputs, rt, EngineBackend::kThreaded));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kLanes));

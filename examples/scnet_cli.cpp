@@ -21,13 +21,13 @@
 //   scnet_cli count t0,t1,... < net.scnet    quiescent outputs for a load
 //   scnet_cli sort v0,v1,...  < net.scnet    comparator outputs for values
 //   scnet_cli sort --engine=plan v0,...      same, via the compiled engine
-//                                            (backend from SCNET_BACKEND,
-//                                            default auto)
-//   scnet_cli sort --engine=simd v0,...      compiled engine on a forced
-//                                            backend (auto|scalar|batch|
-//                                            simd|threaded)
+//                                            (one vector: the scalar tier)
 //   scnet_cli sort --engine=plan --batch N   sort N random vectors (SoA
-//                                            batch, backend by dispatch)
+//                                            batch, backend from
+//                                            SCNET_BACKEND, default auto)
+//   scnet_cli sort --engine=simd --batch N   same on a forced backend
+//                                            (auto|scalar|batch|simd|
+//                                            threaded)
 //   scnet_cli sort --engine=plan --passes=aggressive ...  pick the pass
 //                                            pipeline level for the plan
 //   scnet_cli optimize [--passes=L] [--semantics=S] < net.scnet
@@ -327,7 +327,8 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
   }
   // `interp` is the per-gate interpreter; `plan` is the compiled engine
   // under the runtime's backend request (SCNET_BACKEND, default auto); a
-  // backend name is the compiled engine with that backend forced.
+  // backend name is the compiled engine with that backend forced. A single
+  // vector always runs the scalar tier.
   std::optional<EngineBackend> forced;
   if (engine != "interp" && engine != "plan") {
     forced = parse_backend(engine);
@@ -343,18 +344,17 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
     return rt.compiled(net, passes,
                        PassOptions{.semantics = Semantics::kComparator});
   };
-  const auto backend_choice = [&](const CachedPlan& cached) {
+  const auto backend_choice = [&](const ExecutionPlan& plan) {
     if (forced) return *forced;
     if (profile) {
       // Measured dispatch: the profile-backed select_backend() overload
       // (nearest measured cell for this width/lane count, static policy
       // when the profile has nothing to say). Backends agree on outputs,
       // so this only moves throughput, never results.
-      return select_backend(engine::plan_shape(*cached.plan),
-                            batch > 0 ? batch : 1, machine_caps(),
+      return select_backend(engine::plan_shape(plan), batch, machine_caps(),
                             &*profile);
     }
-    return cached.backend;
+    return rt.backend();
   };
 
   if (batch > 0) {
@@ -376,8 +376,8 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
                               static_cast<Count>(17 * net.width())));
     }
     const auto t0 = std::chrono::steady_clock::now();
-    const auto outs =
-        scn::engine::sort_batch(plan, inputs, rt, backend_choice(cached));
+    const auto outs = scn::engine::run(plan, Semantics::kComparator, inputs,
+                                       rt, backend_choice(plan));
     const auto t1 = std::chrono::steady_clock::now();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     const bool agree =
@@ -401,7 +401,7 @@ int cmd_sort(Runtime& rt, const Network& net, int argc, char** argv) {
     out = comparator_output_counts(net, in);
   } else {
     const CachedPlan cached = plan_for_net();
-    out = scn::engine::sorted_output(*cached.plan, in, backend_choice(cached));
+    out = scn::engine::run(*cached.plan, Semantics::kComparator, in);
   }
   std::printf("%s\n", format_sequence(out).c_str());
   return 0;

@@ -79,14 +79,13 @@ Sorter::Sorter(std::size_t width, Options options, Runtime& rt)
   const CachedPlan cached =
       rt.compiled(net_, PassOptions{.semantics = Semantics::kComparator});
   plan_ = cached.plan;
-  backend_ = cached.backend;
 }
 
 const ExecutionPlan& Sorter::plan() const { return *plan_; }
 
 void Sorter::sort(std::span<Count> values) const {
   assert(values.size() == net_.width());
-  std::vector<Count> out = engine::sorted_output(*plan_, values, backend_);
+  std::vector<Count> out = engine::run(*plan_, Semantics::kComparator, values);
   // Plan output is descending in logical order; the API promises ascending.
   std::reverse(out.begin(), out.end());
   std::copy(out.begin(), out.end(), values.begin());

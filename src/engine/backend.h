@@ -1,5 +1,5 @@
-// Execution backends for compiled plans: one dispatcher over the tiers of
-// batch_engine.h, which implements both headers.
+// The engine's entry points: one per call shape, over the tiers that
+// batch_engine.cpp implements.
 //
 //   * `scalar`   — one lane at a time through the scalar kernels; the
 //                  reference implementation every other backend is pinned
@@ -13,18 +13,23 @@
 //   * `threaded` — the batch lane runner sharded over the runtime's
 //                  ThreadPool (by placement on a multi-node topology).
 //
-// Callers pass an EngineBackend *request* (core/cost_model.h) — typically
-// `Runtime::backend()`, which is `SCNET_BACKEND` resolved once at runtime
-// construction, default kAuto — and the dispatch entry points below
-// resolve kAuto per call through select_backend() (plan shape x lane
-// count x machine caps), then switch on the result. Every dispatch
-// records an `engine.backend.<name>.dispatches` counter and, when a trace
-// is recording, a span in the `engine` category carrying the chosen
-// backend as an arg.
+// A batch call passes an EngineBackend *request* (core/cost_model.h) —
+// typically `Runtime::backend()`, which is `SCNET_BACKEND` resolved once at
+// runtime construction, default kAuto. run() resolves kAuto per call
+// through select_backend() (plan shape x lane count x machine caps), then
+// switches on the result. A single vector has no lane dimension to
+// vectorize or shard, so it always runs the scalar tier and takes no
+// request. Every call records one `engine.backend.<name>.dispatches`
+// counter for the tier that ran and, when a trace is recording, one span
+// in the `engine` category carrying that tier as an arg.
 //
 // All backends are bit-identical on every (plan, input) pair — enforced by
 // tests/engine_cross_check_test.cpp's randomized all-backend sweep — so
 // backend choice is purely a performance decision.
+//
+// Comparator runs use the default descending numeric order (the fast
+// kernels exist precisely because the order is known); callers needing a
+// custom comparator stay on apply_comparators.
 #pragma once
 
 #include <span>
@@ -32,6 +37,7 @@
 
 #include "core/cost_model.h"
 #include "engine/execution_plan.h"
+#include "opt/pass.h"
 #include "seq/sequence_props.h"
 
 namespace scn {
@@ -54,34 +60,21 @@ namespace engine {
                                             const ExecutionPlan& plan,
                                             std::size_t lanes);
 
-// ---------------------------------------------------------------------------
-// Dispatch entry points — what the layers above the engine call. Each
-// resolves the request, bumps `engine.backend.<name>.dispatches`, opens a
-// traced span carrying the choice, and runs the selected backend.
+/// Runs every input vector through `plan` under `semantics` (comparator:
+/// sorted values; balancer: quiescent token counts) on the tier `choice`
+/// resolves to. Returns each lane's values in logical output order: lane j
+/// equals comparator_output_counts(net, inputs[j]) or
+/// output_counts(net, inputs[j]).
+[[nodiscard]] std::vector<std::vector<Count>> run(
+    const ExecutionPlan& plan, Semantics semantics,
+    std::span<const std::vector<Count>> inputs, Runtime& rt,
+    EngineBackend choice);
 
-/// Runs `plan` as a comparator network on a copy of `input`; returns
-/// values in logical output order. A single vector has no lane dimension
-/// to vectorize or shard, so every request runs — and is counted and
-/// traced as — the scalar backend.
-[[nodiscard]] std::vector<Count> sorted_output(const ExecutionPlan& plan,
-                                               std::span<const Count> input,
-                                               EngineBackend choice);
-
-/// Count propagation on a copy of `input`, logical output order; runs the
-/// scalar backend for every request, like sorted_output.
-[[nodiscard]] std::vector<Count> counts_output(const ExecutionPlan& plan,
-                                               std::span<const Count> input,
-                                               EngineBackend choice);
-
-/// Sorts every input vector through the resolved backend.
-[[nodiscard]] std::vector<std::vector<Count>> sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt, EngineBackend choice);
-
-/// Batched count propagation through the resolved backend.
-[[nodiscard]] std::vector<std::vector<Count>> count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt, EngineBackend choice);
+/// Runs one vector through `plan` on the scalar tier; logical output
+/// order.
+[[nodiscard]] std::vector<Count> run(const ExecutionPlan& plan,
+                                     Semantics semantics,
+                                     std::span<const Count> input);
 
 }  // namespace engine
 }  // namespace scn

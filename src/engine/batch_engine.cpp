@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <string>
 
@@ -17,9 +16,10 @@
 #include "engine/simd_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "opt/expand.h"
 #include "opt/pass.h"
+#include "perf/thread_pool.h"
 #include "runtime/runtime.h"
+#include "topo/placement.h"
 #include "topo/topology.h"
 
 namespace scn {
@@ -73,33 +73,15 @@ bool run_fixed_gate(const Wire* ws, std::uint32_t width, std::size_t n,
   });
 }
 
-// Where each wide gate's compare-exchanges start in plan.ce_wires(). The
-// table lists every wide gate's Batcher expansion in gate order, so gate g
-// owns CEs [starts[g], starts[g + 1]). Only gates wider than the fixed
-// kernels run them, so a plan without such gates gets an empty table. A
-// gate's CE count depends only on its width: it is counted once per width.
-std::vector<std::uint32_t> ce_starts(const ExecutionPlan& plan) {
-  if (plan.max_wide_width() <= engine::kMaxFixedWidth) return {};
-  std::vector<std::uint32_t> per_width(plan.max_wide_width() + 1, 0);
-  std::vector<std::uint32_t> starts(plan.wide_gates().size() + 1, 0);
-  for (std::size_t g = 0; g < plan.wide_gates().size(); ++g) {
-    const std::uint32_t width = plan.wide_gates()[g].width;
-    if (per_width[width] == 0) {
-      std::vector<Wire> ws(width);
-      std::iota(ws.begin(), ws.end(), Wire{0});
-      std::vector<Wire> ces;
-      append_wide_gate_ce(ws, ces);
-      per_width[width] = static_cast<std::uint32_t>(ces.size() / 2);
-    }
-    starts[g + 1] = starts[g] + per_width[width];
-  }
-  return starts;
-}
-
-std::string layer_args(const ExecutionPlan::Layer& layer, std::size_t lanes) {
+std::string layer_args(const ExecutionPlan& plan,
+                       const ExecutionPlan::Layer& layer, std::size_t lanes) {
   const auto pairs = layer.pair_end - layer.pair_begin;
-  const auto ces = layer.ce_end - layer.ce_begin;
   const auto wides = layer.wide_end - layer.wide_begin;
+  // A layer's wide gates own consecutive CE ranges.
+  const auto& gates = plan.wide_gates();
+  const auto ces = wides == 0 ? 0
+                              : gates[layer.wide_end - 1].ce_end -
+                                    gates[layer.wide_begin].ce_begin;
   return "{\"pairs\":" + std::to_string(pairs) + ",\"ce\":" +
          std::to_string(ces) + ",\"wide\":" + std::to_string(wides) +
          ",\"lanes\":" + std::to_string(lanes) + "}";
@@ -135,7 +117,8 @@ class LayerClock {
     std::uint64_t at = start_ns_;
     for (std::size_t i = 0; i < sums_.size(); ++i) {
       tracer.record_complete("layer " + std::to_string(i), "engine.layer", at,
-                             sums_[i], layer_args(plan.layers()[i], lanes));
+                             sums_[i],
+                             layer_args(plan, plan.layers()[i], lanes));
       at += sums_[i];
     }
   }
@@ -170,8 +153,6 @@ void run_lanes(const ExecutionPlan& plan, Batch<Count>& batch) {
   const bool wider = plan.max_wide_width() > engine::kMaxFixedWidth;
   std::vector<Count> scratch(
       kCount && wider ? 2 * std::min(kExecBlock, lanes) : 0);
-  const std::vector<std::uint32_t> ce_first =
-      kCount ? std::vector<std::uint32_t>{} : ce_starts(plan);
   LayerClock clock(layers.size());
   for (std::size_t b = 0; b < lanes; b += kExecBlock) {
     const std::size_t n = std::min(kExecBlock, lanes - b);
@@ -188,7 +169,7 @@ void run_lanes(const ExecutionPlan& plan, Batch<Count>& batch) {
         if constexpr (kCount) {
           engine::wide_count_rows(batch, {ws, wg.width}, b, n, scratch);
         } else {
-          for (std::uint32_t k = ce_first[g]; k < ce_first[g + 1]; ++k) {
+          for (std::uint32_t k = wg.ce_begin; k < wg.ce_end; ++k) {
             pair_rows(row(ces[2 * k]) + b, row(ces[2 * k + 1]) + b, n);
           }
         }
@@ -296,10 +277,9 @@ using Partitioner = std::function<void(std::size_t n, const LaneBody&)>;
 
 void serial(std::size_t n, const LaneBody& body) { body(0, n); }
 
-Partitioner striped(ThreadPool* pool) {
-  if (pool == nullptr) return serial;
-  return [pool](std::size_t n, const LaneBody& body) {
-    pool->parallel_for(n, kMinLanesPerTask, body);
+Partitioner striped(ThreadPool& pool) {
+  return [&pool](std::size_t n, const LaneBody& body) {
+    pool.parallel_for(n, kMinLanesPerTask, body);
   };
 }
 
@@ -385,129 +365,15 @@ std::vector<Count> in_output_order(const ExecutionPlan& plan,
   return out;
 }
 
-}  // namespace
-
-void run_plan(const ExecutionPlan& plan, std::span<Count> values) {
+// The scalar tier on one vector: a copy of `input` through run_scalar,
+// returned in logical output order.
+template <Semantics S>
+std::vector<Count> run_one(const ExecutionPlan& plan,
+                           std::span<const Count> input) {
   SCNET_COUNTER_ADD("engine.run.scalar", 1);
-  SCNET_TRACE_SPAN("engine", "run_plan");
-  run_scalar<Semantics::kComparator>(plan, values);
-}
-
-std::vector<Count> plan_comparator_output(const ExecutionPlan& plan,
-                                          std::span<const Count> input) {
   std::vector<Count> values(input.begin(), input.end());
-  run_plan(plan, values);
+  run_scalar<S>(plan, values);
   return in_output_order(plan, values);
-}
-
-void run_plan_counts(const ExecutionPlan& plan, std::span<Count> counts) {
-  SCNET_COUNTER_ADD("engine.run.scalar", 1);
-  SCNET_TRACE_SPAN("engine", "run_plan_counts");
-  run_scalar<Semantics::kBalancer>(plan, counts);
-}
-
-std::vector<Count> plan_output_counts(const ExecutionPlan& plan,
-                                      std::span<const Count> input) {
-  std::vector<Count> counts(input.begin(), input.end());
-  run_plan_counts(plan, counts);
-  return in_output_order(plan, counts);
-}
-
-std::vector<std::vector<Count>> plan_sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool& pool, const topo::PlacementPlan& placement) {
-  SCNET_COUNTER_ADD("engine.run.placed", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
-  SCNET_TRACE_SPAN("engine", "plan_sort_batch(placed)");
-  return run_packed(plan, inputs, lane_runner<Semantics::kComparator>(false),
-                    placed(pool, placement));
-}
-
-std::vector<std::vector<Count>> plan_count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool& pool, const topo::PlacementPlan& placement) {
-  SCNET_COUNTER_ADD("engine.run.placed", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
-  SCNET_TRACE_SPAN("engine", "plan_count_batch(placed)");
-  return run_packed(plan, inputs, lane_runner<Semantics::kBalancer>(false),
-                    placed(pool, placement));
-}
-
-std::vector<std::vector<Count>> plan_sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool* pool) {
-  SCNET_COUNTER_ADD("engine.run.batch", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
-  SCNET_TRACE_SPAN("engine", "plan_sort_batch");
-  return run_packed(plan, inputs, lane_runner<Semantics::kComparator>(false),
-                    striped(pool));
-}
-
-std::vector<std::vector<Count>> plan_count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool* pool) {
-  SCNET_COUNTER_ADD("engine.run.batch", 1);
-  SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
-  SCNET_TRACE_SPAN("engine", "plan_count_batch");
-  return run_packed(plan, inputs, lane_runner<Semantics::kBalancer>(false),
-                    striped(pool));
-}
-
-// The runtime-scoped wrappers go through the backend dispatcher: the
-// runtime's configured request (SCNET_BACKEND / Options::backend, default
-// auto) picks the tier instead of hardwiring the pool-sharded one.
-std::vector<std::vector<Count>> plan_sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt) {
-  return engine::sort_batch(plan, inputs, rt, rt.backend());
-}
-
-std::vector<std::vector<Count>> plan_count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt) {
-  return engine::count_batch(plan, inputs, rt, rt.backend());
-}
-
-// ---------------------------------------------------------------------------
-// Backend dispatch (engine/backend.h).
-
-namespace engine {
-namespace {
-
-void count_dispatch(EngineBackend resolved) {
-  // One switch so every branch hands the macro a literal name (the macro
-  // caches the registry lookup per call site).
-  switch (resolved) {
-    case EngineBackend::kScalar:
-      SCNET_COUNTER_ADD("engine.backend.scalar.dispatches", 1);
-      break;
-    case EngineBackend::kBatch:
-      SCNET_COUNTER_ADD("engine.backend.batch.dispatches", 1);
-      break;
-    case EngineBackend::kSimd:
-      SCNET_COUNTER_ADD("engine.backend.simd.dispatches", 1);
-      break;
-    case EngineBackend::kThreaded:
-      SCNET_COUNTER_ADD("engine.backend.threaded.dispatches", 1);
-      break;
-    case EngineBackend::kAuto:
-      break;  // unreachable: dispatch resolves before counting
-  }
-}
-
-// Builds the span args only when a trace is actually recording — dispatch
-// sits on per-vector paths (verification sweeps), where an unconditional
-// allocation would show up. (Unreferenced when SCNET_OBS is off: the
-// trace macro it feeds compiles to nothing.)
-[[maybe_unused]] std::string dispatch_args(EngineBackend resolved,
-                                           std::size_t lanes) {
-  if constexpr (obs::compiled_in()) {
-    if (obs::Tracer::shared().active()) {
-      return std::string("{\"backend\":\"") + to_string(resolved) +
-             "\",\"lanes\":" + std::to_string(lanes) + "}";
-    }
-  }
-  return {};
 }
 
 // When the runtime sits on a multi-node topology (and placement is on),
@@ -534,39 +400,91 @@ template <Semantics S>
 std::vector<std::vector<Count>> run_tier(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     Runtime& rt, EngineBackend tier) {
-  constexpr bool kSort = S == Semantics::kComparator;
   switch (tier) {
+    case EngineBackend::kScalar:
+    case EngineBackend::kAuto: {  // kAuto is resolved before this switch
+      std::vector<std::vector<Count>> outs;
+      outs.reserve(inputs.size());
+      for (const std::vector<Count>& in : inputs) {
+        outs.push_back(run_one<S>(plan, in));
+      }
+      return outs;
+    }
     case EngineBackend::kBatch:
-      return kSort ? plan_sort_batch(plan, inputs, nullptr)
-                   : plan_count_batch(plan, inputs, nullptr);
-    case EngineBackend::kSimd: {
+    case EngineBackend::kSimd:
       SCNET_COUNTER_ADD("engine.run.batch", 1);
       SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
-      SCNET_TRACE_SPAN("engine", kSort ? "plan_sort_batch(simd)"
-                                       : "plan_count_batch(simd)");
-      return run_packed(plan, inputs, lane_runner<S>(true), serial);
-    }
+      return run_packed(plan, inputs,
+                        lane_runner<S>(tier == EngineBackend::kSimd), serial);
     case EngineBackend::kThreaded:
+      SCNET_HISTOGRAM_RECORD("engine.batch.lanes", inputs.size());
       if (const auto placement = placement_for(plan, rt)) {
-        return kSort ? plan_sort_batch(plan, inputs, rt.pool(), *placement)
-                     : plan_count_batch(plan, inputs, rt.pool(), *placement);
+        SCNET_COUNTER_ADD("engine.run.placed", 1);
+        return run_packed(plan, inputs, lane_runner<S>(false),
+                          placed(rt.pool(), *placement));
       }
-      return kSort ? plan_sort_batch(plan, inputs, &rt.pool())
-                   : plan_count_batch(plan, inputs, &rt.pool());
+      SCNET_COUNTER_ADD("engine.run.batch", 1);
+      return run_packed(plan, inputs, lane_runner<S>(false),
+                        striped(rt.pool()));
+  }
+  return {};
+}
+
+void count_dispatch(EngineBackend resolved) {
+  // One switch so every branch hands the macro a literal name (the macro
+  // caches the registry lookup per call site).
+  switch (resolved) {
     case EngineBackend::kScalar:
-    case EngineBackend::kAuto:
+      SCNET_COUNTER_ADD("engine.backend.scalar.dispatches", 1);
       break;
+    case EngineBackend::kBatch:
+      SCNET_COUNTER_ADD("engine.backend.batch.dispatches", 1);
+      break;
+    case EngineBackend::kSimd:
+      SCNET_COUNTER_ADD("engine.backend.simd.dispatches", 1);
+      break;
+    case EngineBackend::kThreaded:
+      SCNET_COUNTER_ADD("engine.backend.threaded.dispatches", 1);
+      break;
+    case EngineBackend::kAuto:
+      break;  // unreachable: dispatch resolves before counting
   }
-  std::vector<std::vector<Count>> outs;
-  outs.reserve(inputs.size());
-  for (const std::vector<Count>& in : inputs) {
-    outs.push_back(kSort ? plan_comparator_output(plan, in)
-                         : plan_output_counts(plan, in));
+}
+
+// Builds a batch call's span args only when a trace is actually recording,
+// so untraced calls allocate nothing. (Unreferenced when SCNET_OBS is off:
+// the trace macro it feeds compiles to nothing.)
+[[maybe_unused]] std::string dispatch_args(EngineBackend resolved,
+                                           std::size_t lanes) {
+  if constexpr (obs::compiled_in()) {
+    if (obs::Tracer::shared().active()) {
+      return std::string("{\"backend\":\"") + to_string(resolved) +
+             "\",\"lanes\":" + std::to_string(lanes) + "}";
+    }
   }
-  return outs;
+  return {};
+}
+
+[[maybe_unused]] const char* span_name(Semantics semantics) {
+  return semantics == Semantics::kComparator ? "dispatch.sort"
+                                             : "dispatch.count";
 }
 
 }  // namespace
+
+std::vector<std::vector<Count>> plan_sort_batch(
+    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
+    Runtime& rt) {
+  return engine::run(plan, Semantics::kComparator, inputs, rt, rt.backend());
+}
+
+std::vector<std::vector<Count>> plan_count_batch(
+    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
+    Runtime& rt) {
+  return engine::run(plan, Semantics::kBalancer, inputs, rt, rt.backend());
+}
+
+namespace engine {
 
 std::span<const EngineBackend> registered_backends() {
   static constexpr EngineBackend kAll[] = {
@@ -593,42 +511,27 @@ EngineBackend resolve_backend(EngineBackend requested,
   return select_backend(plan_shape(plan), lanes, caps);
 }
 
-std::vector<Count> sorted_output(const ExecutionPlan& plan,
-                                 std::span<const Count> input,
-                                 EngineBackend /*choice*/) {
-  count_dispatch(EngineBackend::kScalar);
-  SCNET_TRACE_SPAN_ARGS("engine", "dispatch.sorted_output",
-                        dispatch_args(EngineBackend::kScalar, 1));
-  return plan_comparator_output(plan, input);
-}
-
-std::vector<Count> counts_output(const ExecutionPlan& plan,
-                                 std::span<const Count> input,
-                                 EngineBackend /*choice*/) {
-  count_dispatch(EngineBackend::kScalar);
-  SCNET_TRACE_SPAN_ARGS("engine", "dispatch.counts_output",
-                        dispatch_args(EngineBackend::kScalar, 1));
-  return plan_output_counts(plan, input);
-}
-
-std::vector<std::vector<Count>> sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt, EngineBackend choice) {
+std::vector<std::vector<Count>> run(const ExecutionPlan& plan,
+                                    Semantics semantics,
+                                    std::span<const std::vector<Count>> inputs,
+                                    Runtime& rt, EngineBackend choice) {
   const EngineBackend resolved = resolve_backend(choice, plan, inputs.size());
   count_dispatch(resolved);
-  SCNET_TRACE_SPAN_ARGS("engine", "dispatch.sort_batch",
+  SCNET_TRACE_SPAN_ARGS("engine", span_name(semantics),
                         dispatch_args(resolved, inputs.size()));
-  return run_tier<Semantics::kComparator>(plan, inputs, rt, resolved);
+  return semantics == Semantics::kComparator
+             ? run_tier<Semantics::kComparator>(plan, inputs, rt, resolved)
+             : run_tier<Semantics::kBalancer>(plan, inputs, rt, resolved);
 }
 
-std::vector<std::vector<Count>> count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    Runtime& rt, EngineBackend choice) {
-  const EngineBackend resolved = resolve_backend(choice, plan, inputs.size());
-  count_dispatch(resolved);
-  SCNET_TRACE_SPAN_ARGS("engine", "dispatch.count_batch",
-                        dispatch_args(resolved, inputs.size()));
-  return run_tier<Semantics::kBalancer>(plan, inputs, rt, resolved);
+std::vector<Count> run(const ExecutionPlan& plan, Semantics semantics,
+                       std::span<const Count> input) {
+  count_dispatch(EngineBackend::kScalar);
+  // Always the scalar tier on one lane, so the span needs no args.
+  SCNET_TRACE_SPAN("engine", span_name(semantics));
+  return semantics == Semantics::kComparator
+             ? run_one<Semantics::kComparator>(plan, input)
+             : run_one<Semantics::kBalancer>(plan, input);
 }
 
 }  // namespace engine

@@ -1,106 +1,46 @@
-// Execution entry points for compiled plans.
+// Runtime-scoped batch entry points for compiled plans.
 //
-// Three tiers, all bit-identical to the per-gate interpreters
-// (sim/comparator_sim.h, sim/count_sim.h):
-//   * scalar: one vector through the plan — drop-in replacement for
-//     apply_comparators / propagate_counts with layer-scheduled kernels;
-//   * batch: a Batch of vectors in SoA layout, run by one cache-blocked
-//     lane runner, so width-2 layers vectorize across the batch dimension;
-//   * threaded batch: lanes are independent, so the batch is sharded into
-//     contiguous lane ranges over a ThreadPool, each shard calling the same
+// The engine has four tiers, all bit-identical to the per-gate
+// interpreters (sim/comparator_sim.h, sim/count_sim.h):
+//   * scalar: one vector at a time through layer-scheduled kernels;
+//   * batch: the vectors in SoA layout, run by one cache-blocked lane
+//     runner, so width-2 layers vectorize across the batch dimension;
+//   * simd: the same lane runner with explicit AVX2 width-2 row kernels;
+//   * threaded: lanes are independent, so the batch is sharded into
+//     contiguous lane ranges over the runtime's ThreadPool (by
+//     PlacementPlan on a multi-node topology), each shard calling the same
 //     lane runner on its range. No synchronization is needed between
 //     layers, and lane results cannot depend on the shard boundaries —
 //     determinism is structural.
 //
+// engine::run (engine/backend.h) picks the tier; the two functions below
+// are its batch form under the runtime's own backend request.
+//
 // While a trace is recording, the lane runner times each layer per lane
 // block and records one `engine.layer` event per layer per call
 // (docs/observability.md).
-//
-// Comparator entry points use the default descending numeric order (the
-// fast kernels exist precisely because the order is known); callers needing
-// a custom comparator stay on apply_comparators.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "engine/execution_plan.h"
-#include "perf/thread_pool.h"
 #include "seq/sequence_props.h"
-#include "topo/placement.h"
 
 namespace scn {
 
-class Runtime;  // runtime/runtime.h — source of the pool for the overloads
+class Runtime;  // runtime/runtime.h
 
-// ---------------------------------------------------------------------------
-// Scalar tier.
-
-/// Applies every gate of the plan to `values` (indexed by physical wire) in
-/// place, layer by layer. Equivalent to apply_comparators(net, values).
-void run_plan(const ExecutionPlan& plan, std::span<Count> values);
-
-/// Runs the plan on a copy of `input` and returns values in logical output
-/// order. Equivalent to comparator_output_counts(net, input).
-[[nodiscard]] std::vector<Count> plan_comparator_output(
-    const ExecutionPlan& plan, std::span<const Count> input);
-
-/// Propagates quiescent token counts through the plan in place (physical
-/// wire indexing). Equivalent to propagate_counts(net, input).
-void run_plan_counts(const ExecutionPlan& plan, std::span<Count> counts);
-
-/// Count propagation returning logical output order. Equivalent to
-/// output_counts(net, input).
-[[nodiscard]] std::vector<Count> plan_output_counts(const ExecutionPlan& plan,
-                                                    std::span<const Count> input);
-
-// ---------------------------------------------------------------------------
-// Batch and threaded tiers.
-//
-// Inputs are packed into an SoA Batch, run through the cache-blocked lane
-// runner, and unpacked in logical output order. With a pool, lanes are
-// sharded into contiguous ranges (at least 64 lanes each), every shard
-// packing, running and unpacking its own range.
-//
-// The placed overloads split lanes by a PlacementPlan instead: one
-// contiguous range per topology node (placement.lane_ranges), each range
-// sub-chunked across that node's worker group and submitted with
-// pool.submit_to_group(), so a lane's whole layer walk — transposes
-// included — stays on its home node. Results are bit-identical to the
-// blind-striping overloads: lanes are independent and all chunk
-// boundaries are pure functions of (lanes, placement), never of
-// scheduling.
-
-/// Placed pack -> run -> unpack.
-[[nodiscard]] std::vector<std::vector<Count>> plan_sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool& pool, const topo::PlacementPlan& placement);
-
-[[nodiscard]] std::vector<std::vector<Count>> plan_count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool& pool, const topo::PlacementPlan& placement);
-
-/// Sorts many input vectors at once: packs them into a Batch, runs the plan
-/// (on `pool` if non-null), and returns each lane's values in logical output
-/// order. Each result equals comparator_output_counts(net, inputs[j]).
-[[nodiscard]] std::vector<std::vector<Count>> plan_sort_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool* pool = nullptr);
-
-/// Batched count propagation; each result equals output_counts(net, in[j]).
-[[nodiscard]] std::vector<std::vector<Count>> plan_count_batch(
-    const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
-    ThreadPool* pool = nullptr);
-
-/// Runtime-scoped wrappers: dispatch through engine/backend.h under
-/// `rt.backend()` — SCNET_BACKEND / Runtime::Options::backend, default
-/// `auto`, which picks the tier from plan shape x lane count x machine
-/// caps. Outputs are bit-identical to the explicit-pool overloads on
-/// every backend.
+/// Sorts every input vector through `plan` on the tier `rt.backend()`
+/// resolves to (SCNET_BACKEND / Runtime::Options::backend, default `auto`,
+/// which picks the tier from plan shape x lane count x machine caps).
+/// Each result equals comparator_output_counts(net, inputs[j]).
 [[nodiscard]] std::vector<std::vector<Count>> plan_sort_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     Runtime& rt);
 
+/// Batched count propagation on the tier `rt.backend()` resolves to; each
+/// result equals output_counts(net, inputs[j]).
 [[nodiscard]] std::vector<std::vector<Count>> plan_count_batch(
     const ExecutionPlan& plan, std::span<const std::vector<Count>> inputs,
     Runtime& rt);

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "engine/kernels.h"
 // The wide-gate compare-exchange expansion is shared with the pass pipeline
 // (opt/passes.h ExpandWideGates) — one Batcher relabeling for both the
 // network-level rewrite and the plan's ce_wires table.
@@ -30,7 +31,6 @@ ExecutionPlan compile_plan(const Network& net) {
         plan.pair_wires_.push_back(ws[1]);
       }
     }
-    layer.ce_begin = static_cast<std::uint32_t>(plan.ce_wires_.size() / 2);
     for (const std::size_t gi : layer_gates) {
       const auto ws = net.gate_wires(gi);
       if (ws.size() == 2) continue;
@@ -39,13 +39,18 @@ ExecutionPlan compile_plan(const Network& net) {
       wg.first = static_cast<std::uint32_t>(plan.wide_wires_.size());
       wg.width = static_cast<std::uint32_t>(ws.size());
       plan.wide_wires_.insert(plan.wide_wires_.end(), ws.begin(), ws.end());
+      wg.ce_begin = static_cast<std::uint32_t>(plan.ce_wires_.size() / 2);
+      // Gates up to kMaxFixedWidth run their in-register kernel on every
+      // tier, so only wider ones need the expansion.
+      if (wg.width > engine::kMaxFixedWidth) {
+        append_wide_gate_ce(ws, plan.ce_wires_);
+      }
+      wg.ce_end = static_cast<std::uint32_t>(plan.ce_wires_.size() / 2);
       plan.wide_gates_.push_back(wg);
       if (wg.width > plan.max_wide_width_) plan.max_wide_width_ = wg.width;
-      append_wide_gate_ce(ws, plan.ce_wires_);
     }
     layer.pair_end = static_cast<std::uint32_t>(plan.pair_wires_.size() / 2);
     layer.wide_end = static_cast<std::uint32_t>(plan.wide_gates_.size());
-    layer.ce_end = static_cast<std::uint32_t>(plan.ce_wires_.size() / 2);
     plan.layers_.push_back(layer);
   }
   return plan;

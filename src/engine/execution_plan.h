@@ -15,18 +15,19 @@
 //     table driven by a branchless min/max kernel;
 //   * wider gates keep an offset/width descriptor into a flat wire table
 //     (the count path needs the gate as a unit: a width-p balancer is NOT a
-//     network of 2-balancers — that is the paper's Figure 3 point), and are
-//     ADDITIONALLY expanded into a compare-exchange pair sequence (Batcher
-//     odd-even, relabeled onto the gate's physical wires). The engine runs
-//     a gate of width <= 8 as one in-register kernel (engine/kernels.h);
-//     the expansion is the comparator path's fallback for wider gates.
+//     network of 2-balancers — that is the paper's Figure 3 point). The
+//     engine runs a gate of width <= engine::kMaxFixedWidth (8) as one
+//     in-register kernel (engine/kernels.h). Only a wider gate is also
+//     expanded into a compare-exchange pair sequence (Batcher odd-even,
+//     relabeled onto the gate's physical wires): the comparator lane
+//     runner's fallback for it.
 //
-// The plan is a pure description: all execution entry points live in
-// engine/batch_engine.h, and the same plan drives both comparator values and
-// quiescent count propagation, so the fast path serves sim/ and verify/
-// alike. Semantics are bit-identical to the per-gate interpreters by
-// construction: layers preserve the topological gate order's effect because
-// no wire is touched twice within a layer.
+// The plan is a pure description: the execution entry points live in
+// engine/backend.h and engine/batch_engine.h, and the same plan drives both
+// comparator values and quiescent count propagation, so the fast path
+// serves sim/ and verify/ alike. Semantics are bit-identical to the
+// per-gate interpreters by construction: layers preserve the topological
+// gate order's effect because no wire is touched twice within a layer.
 #pragma once
 
 #include <cstdint>
@@ -39,22 +40,23 @@ namespace scn {
 class ExecutionPlan {
  public:
   /// A width>2 gate: `first` indexes into wide_wires(), `width` wires.
+  /// Its compare-exchange expansion is ce_wires()[2*ce_begin, 2*ce_end),
+  /// empty unless width > engine::kMaxFixedWidth.
   struct WideGate {
     std::uint32_t first = 0;
     std::uint32_t width = 0;
+    std::uint32_t ce_begin = 0;
+    std::uint32_t ce_end = 0;
   };
 
   /// One layer of mutually independent gates. Pair gates live in
   /// pair_wires()[2*pair_begin, 2*pair_end); wide gates in
-  /// wide_gates()[wide_begin, wide_end); the wide gates' compare-exchange
-  /// expansion in ce_wires()[2*ce_begin, 2*ce_end).
+  /// wide_gates()[wide_begin, wide_end).
   struct Layer {
     std::uint32_t pair_begin = 0;
     std::uint32_t pair_end = 0;
     std::uint32_t wide_begin = 0;
     std::uint32_t wide_end = 0;
-    std::uint32_t ce_begin = 0;
-    std::uint32_t ce_end = 0;
   };
 
   ExecutionPlan() = default;
@@ -78,14 +80,12 @@ class ExecutionPlan {
   [[nodiscard]] const std::vector<Wire>& wide_wires() const {
     return wide_wires_;
   }
-  /// Compare-exchange expansion of the wide gates (comparator semantics
-  /// only): flattened (hi, lo) wire pairs, every wide gate's pairs in gate
-  /// order. Within a layer, pairs from different gates never share wires;
-  /// pairs from the same gate form a Batcher odd-even sorting network over
-  /// its wires, relabeled so the sorted result lands per the gate's listed
-  /// order. The engine executes only the pairs of gates wider than
-  /// engine::kMaxFixedWidth (8); narrower gates run their fixed-width
-  /// kernel, so this table counts more compare-exchanges than run.
+  /// Compare-exchange expansion of the gates wider than
+  /// engine::kMaxFixedWidth (comparator semantics only): flattened (hi, lo)
+  /// wire pairs, in gate order. A gate's pairs (WideGate::ce_begin/ce_end)
+  /// form a Batcher odd-even sorting network over its wires, relabeled so
+  /// the sorted result lands per the gate's listed order. Narrower gates
+  /// run their fixed-width kernel and have no pairs here.
   [[nodiscard]] const std::vector<Wire>& ce_wires() const { return ce_wires_; }
   /// Same as Network::output_order().
   [[nodiscard]] const std::vector<Wire>& output_order() const {

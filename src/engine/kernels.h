@@ -22,8 +22,9 @@
 // out[i] = ceil((total - i) / p). Writing total = q*p + r (0 <= r < p),
 // that is q + (i < r): one division per gate evaluation, not one per
 // output slot. For p == 2 it reduces to the branchless pair
-// (ceil(total/2), floor(total/2)). sim/count_sim keeps the per-slot
-// formula as the independent reference.
+// (ceil(total/2), floor(total/2)). sim/count_sim, the reference the engine
+// is tested against, splits each gate the same way over the network's gate
+// list.
 #pragma once
 
 #include <array>

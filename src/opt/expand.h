@@ -1,7 +1,9 @@
 // Batcher compare-exchange expansion of a wide comparator gate — the single
-// source of truth shared by the ExpandWideGates pass (opt/passes.h) and the
-// ExecutionPlan compiler's ce_wires table (engine/execution_plan.cpp). Both
-// ride baseline/batcher.h for the odd-even construction itself.
+// source of truth shared by the ExpandWideGates pass (opt/passes.h), which
+// expands every gate wider than 2, and the ExecutionPlan compiler's
+// ce_wires table (engine/execution_plan.cpp), which holds the expansion of
+// the gates wider than engine::kMaxFixedWidth only. Both ride
+// baseline/batcher.h for the odd-even construction itself.
 #pragma once
 
 #include <span>

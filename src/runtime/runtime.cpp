@@ -122,12 +122,12 @@ const topo::HardwareTopology& Runtime::topology() const {
 bool Runtime::placement_enabled() const { return impl_->placement; }
 
 CachedPlan Runtime::compiled(const Network& net, const PassOptions& opts) {
-  return impl_->plans->compiled(net, impl_->pass_level, opts, impl_->backend);
+  return impl_->plans->compiled(net, impl_->pass_level, opts);
 }
 
 CachedPlan Runtime::compiled(const Network& net, PassLevel level,
                              const PassOptions& opts) {
-  return impl_->plans->compiled(net, level, opts, impl_->backend);
+  return impl_->plans->compiled(net, level, opts);
 }
 
 void Runtime::clear_caches() {

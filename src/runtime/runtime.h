@@ -77,7 +77,7 @@ class Runtime {
     /// Whether the module cache interns templates (false => the imperative
     /// construction path). nullopt => SCNET_MODULE_CACHE != "0".
     std::optional<bool> module_cache;
-    /// Engine backend request this runtime's compiled plans carry (see
+    /// Engine backend request of this runtime's batch calls (see
     /// engine/backend.h). nullopt => SCNET_BACKEND (else kAuto), read once
     /// at construction like the other environment defaults.
     std::optional<EngineBackend> backend;
@@ -120,9 +120,10 @@ class Runtime {
   /// construction from Options::pass_level / SCNET_DEFAULT_PASSES).
   [[nodiscard]] PassLevel pass_level() const;
 
-  /// The engine backend request compiled() keys its plans on (resolved
-  /// once at construction from Options::backend / SCNET_BACKEND). kAuto
-  /// defers the concrete choice to the engine dispatcher per call.
+  /// The engine backend request this runtime's batch calls pass to
+  /// engine::run (resolved once at construction from Options::backend /
+  /// SCNET_BACKEND). kAuto defers the concrete choice to the engine per
+  /// call.
   [[nodiscard]] EngineBackend backend() const;
 
   /// The hardware topology this runtime is laid out on (resolved once at

@@ -269,10 +269,10 @@ ShardManager::LinearityReport ShardManager::verify_linearity() const {
     }
     if (j < active && routed > 0) {
       // Engine cross-check: propagate the shard's routed total through its
-      // compiled plan (balancer semantics) on the shard's own runtime and
-      // backend request. A counting network's quiescent output depends only
-      // on the total, so the dispatched count engine must reproduce the
-      // concurrent traversal's counts exactly, whatever backend resolves.
+      // compiled plan (balancer semantics) from the shard's own runtime. A
+      // counting network's quiescent output depends only on the total, so
+      // the count engine must reproduce the concurrent traversal's counts
+      // exactly.
       Shard& shard = *shards_[j];
       const CachedPlan cached = shard.runtime.compiled(
           shard.network, PassOptions{.semantics = Semantics::kBalancer});
@@ -281,7 +281,7 @@ ShardManager::LinearityReport ShardManager::verify_linearity() const {
         in[w] = static_cast<Count>(ceil_share(routed, w, in.size()));
       }
       const std::vector<Count> engine_counts =
-          engine::counts_output(*cached.plan, in, cached.backend);
+          engine::run(*cached.plan, Semantics::kBalancer, in);
       if (engine_counts != counts) {
         report.detail = "shard " + std::to_string(j) +
                         " engine cross-check mismatch: concurrent " +

@@ -3,6 +3,22 @@
 #include <cassert>
 
 namespace scn {
+namespace {
+
+// Slot i of a width-p balancer holding `total` tokens gets
+// ceil((total - i) / p) = q + (i < r), where total = q*p + r. No
+// intermediate exceeds `total`, so a total near INT64_MAX cannot overflow.
+template <typename Set>
+void balance(Count total, std::size_t p, Set set) {
+  const auto width = static_cast<Count>(p);
+  const Count q = total / width;
+  const Count r = total % width;
+  for (std::size_t i = 0; i < p; ++i) {
+    set(i, q + static_cast<Count>(static_cast<Count>(i) < r));
+  }
+}
+
+}  // namespace
 
 std::vector<Count> balancer_outputs(std::span<const Count> in) {
   Count total = 0;
@@ -10,13 +26,8 @@ std::vector<Count> balancer_outputs(std::span<const Count> in) {
     assert(c >= 0);
     total += c;
   }
-  const auto p = static_cast<Count>(in.size());
   std::vector<Count> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    // ceil((total - i)/p), never negative for total >= 0.
-    const Count num = total - static_cast<Count>(i) + p - 1;
-    out[i] = num >= 0 ? num / p : 0;
-  }
+  balance(total, in.size(), [&](std::size_t i, Count v) { out[i] = v; });
   return out;
 }
 
@@ -24,17 +35,13 @@ std::vector<Count> propagate_counts(const Network& net,
                                     std::span<const Count> input) {
   assert(input.size() == net.width());
   std::vector<Count> counts(input.begin(), input.end());
-  std::vector<Count> local;
   for (const Gate& g : net.gates()) {
     const auto ws = net.gate_wires(g);
     Count total = 0;
     for (const Wire w : ws) total += counts[static_cast<std::size_t>(w)];
-    const auto p = static_cast<Count>(ws.size());
-    (void)local;
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      const Count num = total - static_cast<Count>(i) + p - 1;
-      counts[static_cast<std::size_t>(ws[i])] = num >= 0 ? num / p : 0;
-    }
+    balance(total, ws.size(), [&](std::size_t i, Count v) {
+      counts[static_cast<std::size_t>(ws[i])] = v;
+    });
   }
   return counts;
 }

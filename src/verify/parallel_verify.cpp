@@ -48,11 +48,8 @@ CountingVerdict verify_counting_parallel(const Network& net,
     }
     std::uint64_t local_checked = 0;
     for (auto& in : inputs) {
-      // Per-input dispatch: single vectors resolve to the scalar tier
-      // under `auto`, and a runtime pinned to a backend gets that backend
-      // (bit-identical either way).
-      std::vector<Count> out =
-          engine::counts_output(plan, in, cached.backend);
+      // One vector per call: the engine's scalar tier.
+      std::vector<Count> out = engine::run(plan, Semantics::kBalancer, in);
       ++local_checked;
       if (!has_step_property(out)) {
         const std::lock_guard<std::mutex> lock(mu);

@@ -1,9 +1,9 @@
 // The backend registry and its dispatch policy: name/parse round-trips,
 // select_backend() threshold behavior, kAuto resolution against real
-// plans, the dispatch counters, and the Runtime/plan-cache plumbing that
-// carries a backend request from SCNET_BACKEND / Runtime::Options to the
-// dispatcher. Bit-identity of the backends themselves is pinned by the
-// randomized sweep in engine_cross_check_test.cpp.
+// plans, the dispatch counters, and the Runtime plumbing that carries a
+// backend request from SCNET_BACKEND / Runtime::Options to the engine.
+// Bit-identity of the backends themselves is pinned by the randomized
+// sweep in engine_cross_check_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,13 +20,14 @@
 #include "core/cost_model.h"
 #include "core/k_network.h"
 #include "engine/backend.h"
+#include "engine/batch_engine.h"
 #include "engine/execution_plan.h"
 #include "engine/kernels.h"
 #include "engine/simd_kernels.h"
 #include "obs/metrics.h"
-#include "opt/plan_cache.h"
 #include "runtime/runtime.h"
 #include "seq/generators.h"
+#include "sim/comparator_sim.h"
 #include "sim/count_sim.h"
 
 namespace scn {
@@ -138,37 +139,6 @@ TEST(DispatchPolicy, ResolvePassesConcreteRequestsThrough) {
   EXPECT_NE(many, EngineBackend::kScalar);
 }
 
-TEST(BackendPlumbing, RuntimeOptionCarriesIntoCachedPlans) {
-  Runtime::Options options;
-  options.backend = EngineBackend::kBatch;
-  Runtime rt(options);
-  EXPECT_EQ(rt.backend(), EngineBackend::kBatch);
-  const Network net = make_k_network({2, 2}, rt);
-  const CachedPlan cached = rt.compiled(net);
-  EXPECT_EQ(cached.backend, EngineBackend::kBatch);
-}
-
-TEST(BackendPlumbing, PlanCacheKeysOnBackend) {
-  // Same network compiled under two backend requests must occupy two cache
-  // entries: the request is part of the plan's identity (a cached entry is
-  // handed back with its backend attached).
-  Runtime rt;
-  const Network net = make_k_network({2, 2}, rt);
-  PlanCache& cache = rt.plan_cache();
-  const CachedPlan a =
-      cache.compiled(net, rt.pass_level(), {}, EngineBackend::kScalar);
-  const CachedPlan b =
-      cache.compiled(net, rt.pass_level(), {}, EngineBackend::kThreaded);
-  EXPECT_FALSE(a.hit);
-  EXPECT_FALSE(b.hit) << "distinct backends must not collide in the cache";
-  EXPECT_EQ(a.backend, EngineBackend::kScalar);
-  EXPECT_EQ(b.backend, EngineBackend::kThreaded);
-  const CachedPlan again =
-      cache.compiled(net, rt.pass_level(), {}, EngineBackend::kScalar);
-  EXPECT_TRUE(again.hit);
-  EXPECT_EQ(again.backend, EngineBackend::kScalar);
-}
-
 TEST(BackendPlumbing, EnvironmentVariableSetsTheDefault) {
   // default_backend() reads SCNET_BACKEND per call; Runtime captures it at
   // construction. setenv/unsetenv is safe here: tests run single-threaded.
@@ -185,54 +155,100 @@ TEST(BackendPlumbing, EnvironmentVariableSetsTheDefault) {
 }
 
 TEST(BackendDispatch, SingleVectorEntryPointsMatchScalarReference) {
+  // The single-vector run() against the per-gate interpreters and against
+  // lane 0 of a one-lane batch call on every tier.
   std::mt19937_64 rng(7);
   const Network net = make_k_network({2, 3});
   const ExecutionPlan plan = compile_plan(net);
   const auto in = random_count_vector(rng, net.width(), 50);
-  const std::vector<Count> ref_sorted =
-      engine::sorted_output(plan, in, EngineBackend::kScalar);
-  const std::vector<Count> ref_counts =
-      engine::counts_output(plan, in, EngineBackend::kScalar);
+  const std::vector<Count> sorted =
+      engine::run(plan, Semantics::kComparator, in);
+  const std::vector<Count> counts = engine::run(plan, Semantics::kBalancer, in);
+  EXPECT_EQ(sorted, comparator_output_counts(net, in));
+  EXPECT_EQ(counts, output_counts(net, in));
+  const std::vector<std::vector<Count>> one_lane = {in};
+  Runtime rt;
   for (const EngineBackend b : engine::registered_backends()) {
-    EXPECT_EQ(engine::sorted_output(plan, in, b), ref_sorted)
+    EXPECT_EQ(engine::run(plan, Semantics::kComparator, one_lane, rt, b),
+              std::vector<std::vector<Count>>{sorted})
         << to_string(b);
-    EXPECT_EQ(engine::counts_output(plan, in, b), ref_counts)
+    EXPECT_EQ(engine::run(plan, Semantics::kBalancer, one_lane, rt, b),
+              std::vector<std::vector<Count>>{counts})
         << to_string(b);
   }
-  EXPECT_EQ(engine::sorted_output(plan, in, EngineBackend::kAuto),
-            ref_sorted);
-  EXPECT_EQ(engine::counts_output(plan, in, EngineBackend::kAuto),
-            ref_counts);
+}
+
+// engine.backend.<name>.dispatches for every registered backend, in
+// registration order.
+std::vector<std::uint64_t> dispatch_counts() {
+  std::vector<std::uint64_t> out;
+  for (const EngineBackend b : engine::registered_backends()) {
+    out.push_back(obs::MetricsRegistry::shared().value(
+        std::string("engine.backend.") + to_string(b) + ".dispatches"));
+  }
+  return out;
 }
 
 TEST(BackendDispatch, SingleVectorCallsCountTheScalarTierThatRan) {
-  // One vector always runs the scalar tier, whatever the request, so the
-  // dispatch counter must name scalar too — never the requested backend.
+  // One vector always runs the scalar tier, so each call adds one to the
+  // scalar dispatch counter and to engine.run.scalar, and nothing else.
   if (!obs::compiled_in()) GTEST_SKIP() << "metrics compiled out";
   const obs::MetricsRegistry& registry = obs::MetricsRegistry::shared();
-  const auto dispatches = [&](EngineBackend b) {
-    return registry.value(std::string("engine.backend.") + to_string(b) +
-                          ".dispatches");
-  };
   const ExecutionPlan plan = compile_plan(make_k_network({2, 2}));
   const std::vector<Count> in = {3, 1, 4, 1};
-  for (const EngineBackend requested : engine::registered_backends()) {
-    std::vector<std::uint64_t> before;
-    for (const EngineBackend b : engine::registered_backends()) {
-      before.push_back(dispatches(b));
+  const std::vector<std::uint64_t> before = dispatch_counts();
+  const std::uint64_t scalar_runs = registry.value("engine.run.scalar");
+  static_cast<void>(engine::run(plan, Semantics::kComparator, in));
+  static_cast<void>(engine::run(plan, Semantics::kBalancer, in));
+  const std::vector<std::uint64_t> after = dispatch_counts();
+  const auto all = engine::registered_backends();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], all[i] == EngineBackend::kScalar ? 2u : 0u)
+        << "counter " << to_string(all[i]);
+  }
+  EXPECT_EQ(registry.value("engine.run.scalar") - scalar_runs, 2u);
+}
+
+TEST(BackendDispatch, BatchCallCountsExactlyOneDispatch) {
+  // One plan_sort_batch / plan_count_batch call on a runtime pinned to a
+  // request adds exactly one to the counter of the tier the request
+  // resolves to, and nothing to any other tier's counter. Lane counts
+  // cover the single-lane and the sharded cases of kAuto.
+  if (!obs::compiled_in()) GTEST_SKIP() << "metrics compiled out";
+  std::mt19937_64 rng(17);
+  const Network net = make_k_network({2, 2, 2});
+  const ExecutionPlan plan = compile_plan(net);
+  std::vector<EngineBackend> requests(engine::registered_backends().begin(),
+                                      engine::registered_backends().end());
+  requests.push_back(EngineBackend::kAuto);
+  const auto all = engine::registered_backends();
+  for (const EngineBackend requested : requests) {
+    Runtime::Options options;
+    options.backend = requested;
+    options.threads = 2;
+    Runtime rt(options);
+    for (const std::size_t lanes : {1u, 300u}) {
+      std::vector<std::vector<Count>> inputs;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        inputs.push_back(random_count_vector(rng, net.width(), 30));
+      }
+      const EngineBackend ran =
+          engine::resolve_backend(requested, plan, lanes);
+      for (const Semantics semantics :
+           {Semantics::kComparator, Semantics::kBalancer}) {
+        const std::vector<std::uint64_t> before = dispatch_counts();
+        static_cast<void>(semantics == Semantics::kComparator
+                              ? plan_sort_batch(plan, inputs, rt)
+                              : plan_count_batch(plan, inputs, rt));
+        const std::vector<std::uint64_t> after = dispatch_counts();
+        for (std::size_t i = 0; i < all.size(); ++i) {
+          EXPECT_EQ(after[i] - before[i], all[i] == ran ? 1u : 0u)
+              << "requested " << to_string(requested) << ", " << lanes
+              << " lanes, " << to_string(semantics) << ", counter "
+              << to_string(all[i]);
+        }
+      }
     }
-    const std::uint64_t scalar_runs = registry.value("engine.run.scalar");
-    static_cast<void>(engine::sorted_output(plan, in, requested));
-    static_cast<void>(engine::counts_output(plan, in, requested));
-    std::size_t i = 0;
-    for (const EngineBackend b : engine::registered_backends()) {
-      EXPECT_EQ(dispatches(b) - before[i++],
-                b == EngineBackend::kScalar ? 2u : 0u)
-          << "requested " << to_string(requested) << ", counter "
-          << to_string(b);
-    }
-    EXPECT_EQ(registry.value("engine.run.scalar") - scalar_runs, 2u)
-        << "requested " << to_string(requested);
   }
 }
 
@@ -269,7 +285,7 @@ TEST(SimdKernels, PairRowsMatchScalarKernels) {
 TEST(WideCountKernels, MatchCountSimOnEverySlot) {
   // The engine's wide-balancer kernels (the row kernel every lane-parallel
   // tier runs, and the scalar one-vector kernel) against sim/count_sim's
-  // per-slot ceil((total - i) / p). Totals cover 0, below p, exact
+  // ceil((total - i) / p). Totals cover 0, below p, exact
   // multiples of p, random values and the neighbourhood of INT64_MAX / p;
   // each total is split unevenly over the gate's inputs.
   std::mt19937_64 rng(23);

@@ -2,6 +2,7 @@
 // propagation through networks.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "net/network.h"
@@ -37,6 +38,22 @@ TEST(BalancerOutputs, StepAndSumPreserved) {
     EXPECT_TRUE(has_step_property(out));
     EXPECT_EQ(std::accumulate(out.begin(), out.end(), Count{0}), total);
   }
+}
+
+TEST(BalancerOutputs, TotalNearInt64MaxDoesNotOverflow) {
+  // ceil((total - i) / p) computed as total - i + p - 1 overflows here;
+  // q + (i < r) does not. INT64_MAX = 8q + 7, so seven slots get q + 1.
+  constexpr Count kMax = std::numeric_limits<Count>::max();
+  constexpr Count q = kMax / 8;
+  const std::vector<Count> in = {kMax, 0, 0, 0, 0, 0, 0, 0};
+  std::vector<Count> expect(8, q + 1);
+  expect[7] = q;
+  EXPECT_EQ(balancer_outputs(in), expect);
+
+  NetworkBuilder b(8);
+  b.add_balancer({0, 1, 2, 3, 4, 5, 6, 7});
+  const Network net = std::move(b).finish_identity();
+  EXPECT_EQ(propagate_counts(net, in), expect);
 }
 
 TEST(PropagateCounts, SingleBalancerNetwork) {

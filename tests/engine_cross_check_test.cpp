@@ -15,9 +15,7 @@
 #include "core/l_network.h"
 #include "core/r_network.h"
 #include "engine/backend.h"
-#include "engine/batch_engine.h"
 #include "engine/execution_plan.h"
-#include "perf/thread_pool.h"
 #include "runtime/runtime.h"
 #include "seq/generators.h"
 #include "sim/comparator_sim.h"
@@ -31,6 +29,9 @@
 namespace scn {
 namespace {
 
+constexpr Semantics kSort = Semantics::kComparator;
+constexpr Semantics kCount = Semantics::kBalancer;
+
 std::vector<Network> grid() {
   std::vector<Network> nets;
   nets.push_back(make_k_network({2, 3, 2}));
@@ -43,6 +44,9 @@ std::vector<Network> grid() {
 
 TEST(EngineCrossCheck, AllEnginesAgreeOnQuiescentOutputs) {
   std::mt19937_64 rng(1);
+  Runtime::Options three_threads;
+  three_threads.threads = 3;
+  Runtime rt(three_threads);
   for (const Network& net : grid()) {
     for (int load = 0; load < 6; ++load) {
       const auto in =
@@ -51,7 +55,7 @@ TEST(EngineCrossCheck, AllEnginesAgreeOnQuiescentOutputs) {
 
       // Compiled plan: scalar count path.
       const ExecutionPlan plan = compile_plan(net);
-      ASSERT_EQ(plan_output_counts(plan, in), expected) << "plan scalar";
+      ASSERT_EQ(engine::run(plan, kCount, in), expected) << "plan scalar";
 
       // Token simulator, every schedule policy.
       for (const SchedulePolicy policy : all_schedule_policies()) {
@@ -94,8 +98,8 @@ TEST(EngineCrossCheck, AllEnginesAgreeOnQuiescentOutputs) {
       }
     }
 
-    // Compiled plan: batch and threaded-batch count paths, checked against
-    // the interpreter lane by lane.
+    // Compiled plan: batch and threaded-batch count paths (private and
+    // shared pool), checked against the interpreter lane by lane.
     {
       const ExecutionPlan plan = compile_plan(net);
       std::vector<std::vector<Count>> inputs;
@@ -104,12 +108,15 @@ TEST(EngineCrossCheck, AllEnginesAgreeOnQuiescentOutputs) {
         inputs.push_back(random_count_vector(rng, net.width(), 5 + j));
         expected_outs.push_back(output_counts(net, inputs.back()));
       }
-      ASSERT_EQ(plan_count_batch(plan, inputs), expected_outs)
+      ASSERT_EQ(engine::run(plan, kCount, inputs, rt, EngineBackend::kBatch),
+                expected_outs)
           << "plan batch counts";
-      ThreadPool pool(3);
-      ASSERT_EQ(plan_count_batch(plan, inputs, &pool), expected_outs)
+      ASSERT_EQ(
+          engine::run(plan, kCount, inputs, rt, EngineBackend::kThreaded),
+          expected_outs)
           << "plan threaded batch counts";
-      ASSERT_EQ(plan_count_batch(plan, inputs, &ThreadPool::shared()),
+      ASSERT_EQ(engine::run(plan, kCount, inputs, Runtime::shared(),
+                            EngineBackend::kThreaded),
                 expected_outs)
           << "plan shared-pool batch counts";
     }
@@ -123,14 +130,15 @@ TEST(EngineCrossCheck, AllEnginesAgreeOnQuiescentOutputs) {
       for (int j = 0; j < 150; ++j) {
         inputs.push_back(random_count_vector(rng, net.width(), 40 + 3 * j));
         expected_outs.push_back(comparator_output_counts(net, inputs.back()));
-        ASSERT_EQ(plan_comparator_output(plan, inputs.back()),
+        ASSERT_EQ(engine::run(plan, kSort, inputs.back()),
                   expected_outs.back())
             << "plan scalar sort";
       }
-      ASSERT_EQ(plan_sort_batch(plan, inputs), expected_outs)
+      ASSERT_EQ(engine::run(plan, kSort, inputs, rt, EngineBackend::kBatch),
+                expected_outs)
           << "plan batch sort";
-      ThreadPool pool(3);
-      ASSERT_EQ(plan_sort_batch(plan, inputs, &pool), expected_outs)
+      ASSERT_EQ(engine::run(plan, kSort, inputs, rt, EngineBackend::kThreaded),
+                expected_outs)
           << "plan threaded batch sort";
     }
 
@@ -166,9 +174,9 @@ TEST(EngineCrossCheck, AllBackendsBitIdenticalToScalar) {
             rng, net.width(), 1 + static_cast<Count>(rng() % 200)));
       }
       const auto ref_sort =
-          engine::sort_batch(plan, inputs, rt, EngineBackend::kScalar);
+          engine::run(plan, kSort, inputs, rt, EngineBackend::kScalar);
       const auto ref_count =
-          engine::count_batch(plan, inputs, rt, EngineBackend::kScalar);
+          engine::run(plan, kCount, inputs, rt, EngineBackend::kScalar);
       // The scalar reference must itself agree with the per-gate
       // interpreter before anything is pinned against it.
       for (std::size_t j = 0; j < lanes; ++j) {
@@ -178,17 +186,17 @@ TEST(EngineCrossCheck, AllBackendsBitIdenticalToScalar) {
             << "scalar vs count propagation, lane " << j;
       }
       for (const EngineBackend b : engine::registered_backends()) {
-        ASSERT_EQ(engine::sort_batch(plan, inputs, rt, b), ref_sort)
+        ASSERT_EQ(engine::run(plan, kSort, inputs, rt, b), ref_sort)
             << to_string(b) << " sort, " << lanes << " lanes, width "
             << net.width();
-        ASSERT_EQ(engine::count_batch(plan, inputs, rt, b), ref_count)
+        ASSERT_EQ(engine::run(plan, kCount, inputs, rt, b), ref_count)
             << to_string(b) << " counts, " << lanes << " lanes, width "
             << net.width();
       }
-      ASSERT_EQ(engine::sort_batch(plan, inputs, rt, EngineBackend::kAuto),
+      ASSERT_EQ(engine::run(plan, kSort, inputs, rt, EngineBackend::kAuto),
                 ref_sort)
           << "auto sort, " << lanes << " lanes";
-      ASSERT_EQ(engine::count_batch(plan, inputs, rt, EngineBackend::kAuto),
+      ASSERT_EQ(engine::run(plan, kCount, inputs, rt, EngineBackend::kAuto),
                 ref_count)
           << "auto counts, " << lanes << " lanes";
     }
@@ -222,20 +230,20 @@ TEST(EngineCrossCheck, PlacementOnOffBitIdenticalAcrossBackends) {
             rng, net.width(), 1 + static_cast<Count>(rng() % 200)));
       }
       for (const EngineBackend b : engine::registered_backends()) {
-        ASSERT_EQ(engine::sort_batch(plan, inputs, rt_on, b),
-                  engine::sort_batch(plan, inputs, rt_off, b))
+        ASSERT_EQ(engine::run(plan, kSort, inputs, rt_on, b),
+                  engine::run(plan, kSort, inputs, rt_off, b))
             << to_string(b) << " sort, " << lanes << " lanes, width "
             << net.width();
-        ASSERT_EQ(engine::count_batch(plan, inputs, rt_on, b),
-                  engine::count_batch(plan, inputs, rt_off, b))
+        ASSERT_EQ(engine::run(plan, kCount, inputs, rt_on, b),
+                  engine::run(plan, kCount, inputs, rt_off, b))
             << to_string(b) << " counts, " << lanes << " lanes, width "
             << net.width();
       }
       // And both agree with the scalar reference on a private runtime.
       Runtime rt_ref;
       ASSERT_EQ(
-          engine::sort_batch(plan, inputs, rt_on, EngineBackend::kThreaded),
-          engine::sort_batch(plan, inputs, rt_ref, EngineBackend::kScalar))
+          engine::run(plan, kSort, inputs, rt_on, EngineBackend::kThreaded),
+          engine::run(plan, kSort, inputs, rt_ref, EngineBackend::kScalar))
           << "placed threaded vs scalar, " << lanes << " lanes";
     }
   }

@@ -82,7 +82,11 @@ void expect_layer_events(const ExecutionPlan& plan,
         EXPECT_EQ(ev.layer, i);
         SCOPED_TRACE("layer " + std::to_string(i));
         EXPECT_EQ(ev.pairs, layer.pair_end - layer.pair_begin);
-        EXPECT_EQ(ev.ce, layer.ce_end - layer.ce_begin);
+        std::size_t ces = 0;
+        for (std::uint32_t g = layer.wide_begin; g < layer.wide_end; ++g) {
+          ces += plan.wide_gates()[g].ce_end - plan.wide_gates()[g].ce_begin;
+        }
+        EXPECT_EQ(ev.ce, ces);
         EXPECT_EQ(ev.wide, layer.wide_end - layer.wide_begin);
         EXPECT_EQ(ev.lanes, call_lanes);
         if (i > 0) {

@@ -13,7 +13,7 @@
 #include "baseline/bubble.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
-#include "engine/batch_engine.h"
+#include "engine/backend.h"
 #include "net/serialize.h"
 #include "net/transform.h"
 #include "opt/pass.h"
@@ -250,7 +250,7 @@ TEST_P(CrossEngineAgreement, InterpreterOnOriginalEqualsPlanOnOptimized) {
   for (int trial = 0; trial < 60; ++trial) {
     const auto in = random_count_vector(rng, net.width(), 500);
     ASSERT_EQ(comparator_output_counts(net, in),
-              plan_comparator_output(*cached.plan, in))
+              engine::run(*cached.plan, Semantics::kComparator, in))
         << kind << " @ " << to_string(level) << " trial " << trial;
   }
 }

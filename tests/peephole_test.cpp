@@ -214,10 +214,11 @@ TEST(PeepholeOptimal, RewrittenPlansAreBitIdenticalAcrossBackends) {
   for (int i = 0; i < 257; ++i) {
     inputs.push_back(random_count_vector(rng, net.width(), 40));
   }
-  const auto reference =
-      engine::sort_batch(plan, inputs, rt, EngineBackend::kScalar);
+  const auto reference = engine::run(plan, Semantics::kComparator, inputs,
+                                     rt, EngineBackend::kScalar);
   for (const EngineBackend which : engine::registered_backends()) {
-    EXPECT_EQ(engine::sort_batch(plan, inputs, rt, which), reference)
+    EXPECT_EQ(engine::run(plan, Semantics::kComparator, inputs, rt, which),
+              reference)
         << "backend " << to_string(which);
   }
 }

@@ -12,7 +12,7 @@
 #include "baseline/bitonic.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
-#include "engine/batch_engine.h"
+#include "engine/backend.h"
 #include "net/network.h"
 #include "net/serialize.h"
 #include "obs/metrics.h"
@@ -240,7 +240,7 @@ TEST(PlanCache, CachedPlanMatchesInterpreterOnEveryLevel) {
     for (int trial = 0; trial < 20; ++trial) {
       const auto in = random_count_vector(rng, net.width(), 300);
       ASSERT_EQ(comparator_output_counts(net, in),
-                plan_comparator_output(*cached.plan, in))
+                engine::run(*cached.plan, Semantics::kComparator, in))
           << to_string(level);
     }
   }
