@@ -47,6 +47,8 @@ class ExecutionPlan {
     std::uint32_t width = 0;
     std::uint32_t ce_begin = 0;
     std::uint32_t ce_end = 0;
+
+    bool operator==(const WideGate&) const = default;
   };
 
   /// One layer of mutually independent gates. Pair gates live in
@@ -57,9 +59,14 @@ class ExecutionPlan {
     std::uint32_t pair_end = 0;
     std::uint32_t wide_begin = 0;
     std::uint32_t wide_end = 0;
+
+    bool operator==(const Layer&) const = default;
   };
 
   ExecutionPlan() = default;
+
+  /// Field-by-field equality: same layers, tables and output order.
+  bool operator==(const ExecutionPlan&) const = default;
 
   [[nodiscard]] std::size_t width() const { return width_; }
   [[nodiscard]] std::uint32_t depth() const {

@@ -242,6 +242,47 @@ std::vector<std::vector<std::size_t>> Network::layers() const {
   return out;
 }
 
+Network Network::permuted(std::span<const std::uint32_t> order) const {
+#ifdef SCNET_CHECKED
+  if (order.size() != gates_.size()) {
+    throw std::invalid_argument("permuted: order size != gate count");
+  }
+  std::vector<char> seen(gates_.size(), 0);
+  std::uint32_t last_layer = 0;
+#endif
+  assert(order.size() == gates_.size());
+  Network n;
+  n.width_ = width_;
+  n.depth_ = depth_;
+  n.max_gate_width_ = max_gate_width_;
+  n.gates_.resize(gates_.size());
+  n.gate_wires_.resize(gate_wires_.size());
+  std::uint32_t first = 0;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::uint32_t gi = order[k];
+#ifdef SCNET_CHECKED
+    if (gi >= gates_.size() || seen[gi] != 0) {
+      throw std::invalid_argument(
+          "permuted: order is not a permutation of the gates");
+    }
+    seen[gi] = 1;
+    if (gates_[gi].layer < last_layer) {
+      throw std::invalid_argument("permuted: order decreases a layer");
+    }
+    last_layer = gates_[gi].layer;
+#endif
+    const Gate& g = gates_[gi];
+    std::copy_n(gate_wires_.begin() + g.first, g.width,
+                n.gate_wires_.begin() + first);
+    n.gates_[k] = {first, g.width, g.layer};
+    first += g.width;
+  }
+  n.output_order_ = output_order_;
+  n.inverse_output_order_ = inverse_output_order_;
+  n.hash_ = hash_;
+  return n;
+}
+
 namespace {
 
 // One xxHash64 accumulator round and its avalanche: each word is spread by

@@ -158,6 +158,16 @@ class Network {
   /// Gates grouped by layer: result[l] lists gate indices with layer l+1.
   [[nodiscard]] std::vector<std::vector<std::size_t>> layers() const;
 
+  /// The same gates listed in a new order: gate k of the result is gate
+  /// order[k] of this network. `order` must be a permutation of the gate
+  /// indices along which layers never decrease. Gates on one layer touch
+  /// disjoint wires, so such an order keeps every wire's gate sequence and
+  /// hence every ASAP layer: the result has this network's layers, depth
+  /// and output order, and carries its structural_hash() memo. Builds with
+  /// SCNET_CHECKED throw std::invalid_argument on a bad order; otherwise it
+  /// is assert-only. O(gates + endpoints + width).
+  [[nodiscard]] Network permuted(std::span<const std::uint32_t> order) const;
+
   /// Canonical structural hash: an order-invariant sum of per-gate mixes
   /// over (layer, width, wires in logical order), with the logical output
   /// order folded in after. Invariant under reordering independent gates;

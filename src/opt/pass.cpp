@@ -93,19 +93,26 @@ PassManager& PassManager::add(std::unique_ptr<Pass> pass) {
   return *this;
 }
 
-PipelineResult PassManager::run(const Network& net,
-                                const PassOptions& opts) const {
+Network Pass::run(const Network& net, const PassOptions& opts) const {
+  PassStats ignored;
+  std::optional<Network> rewritten = rewrite(net, opts, ignored);
+  return rewritten ? std::move(*rewritten) : net;
+}
+
+PipelineRewrite PassManager::rewrite(const Network& net,
+                                     const PassOptions& opts) const {
   SCNET_COUNTER_ADD("opt.pipeline.runs", 1);
   SCNET_TRACE_SPAN("opt", "pipeline");
-  PipelineResult result;
-  result.network = net;
+  PipelineRewrite result;
   result.passes.reserve(passes_.size());
+  // The network the next pass reads: the caller's until a pass rewrites.
+  const Network* current = &net;
   for (const auto& pass : passes_) {
     PassStats stats;
     stats.name = std::string(pass->name());
-    stats.gates_before = result.network.gate_count();
-    stats.depth_before = result.network.depth();
-    if (!pass->applicable(result.network, opts)) {
+    stats.gates_before = current->gate_count();
+    stats.depth_before = current->depth();
+    if (!pass->applicable(*current, opts)) {
       SCNET_COUNTER_ADD("opt.pass.skipped", 1);
       stats.gates_after = stats.gates_before;
       stats.depth_after = stats.depth_before;
@@ -114,12 +121,18 @@ PipelineResult PassManager::run(const Network& net,
     }
     const std::uint64_t span_start_ns = obs::Tracer::shared().now_ns();
     const auto t0 = std::chrono::steady_clock::now();
-    Network rewritten = pass->run(result.network, opts, stats);
+    std::optional<Network> rewritten = pass->rewrite(*current, opts, stats);
     const auto t1 = std::chrono::steady_clock::now();
     stats.applied = true;
     stats.seconds = std::chrono::duration<double>(t1 - t0).count();
-    stats.gates_after = rewritten.gate_count();
-    stats.depth_after = rewritten.depth();
+    if (rewritten) {
+      assert(rewritten->width() == current->width());
+      assert(rewritten->validate().empty());
+      result.network = std::move(*rewritten);
+      current = &*result.network;
+    }
+    stats.gates_after = current->gate_count();
+    stats.depth_after = current->depth();
     SCNET_COUNTER_ADD("opt.pass.applied", 1);
     SCNET_HISTOGRAM_RECORD(
         "opt.pass.micros",
@@ -138,13 +151,19 @@ PipelineResult PassManager::run(const Network& net,
             static_cast<std::uint64_t>(stats.seconds * 1e9), args.str());
       }
     }
-    assert(rewritten.width() == result.network.width());
-    assert(rewritten.validate().empty());
     assert(!pass->never_increases_depth() ||
            stats.depth_after <= stats.depth_before);
-    result.network = std::move(rewritten);
     result.passes.push_back(std::move(stats));
   }
+  return result;
+}
+
+PipelineResult PassManager::run(const Network& net,
+                                const PassOptions& opts) const {
+  PipelineRewrite rewritten = rewrite(net, opts);
+  PipelineResult result;
+  result.network = rewritten.network ? std::move(*rewritten.network) : net;
+  result.passes = std::move(rewritten.passes);
   return result;
 }
 

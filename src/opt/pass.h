@@ -82,7 +82,10 @@ struct PassStats {
 
 /// A network-to-network rewrite. Implementations must preserve width and
 /// logical output order, and must preserve behavior under every semantics
-/// for which applicable() returns true.
+/// for which applicable() returns true. A pass that finds nothing to
+/// rewrite reports "unchanged" (std::nullopt from rewrite()) instead of
+/// rebuilding its input, so a pipeline that changes nothing copies
+/// nothing.
 class Pass {
  public:
   virtual ~Pass() = default;
@@ -99,19 +102,25 @@ class Pass {
   /// uniformity and return false.
   [[nodiscard]] virtual bool never_increases_depth() const { return true; }
 
-  [[nodiscard]] virtual Network run(const Network& net,
-                                    const PassOptions& opts) const = 0;
+  /// The rewritten network, or std::nullopt when the pass would leave
+  /// `net` gate-for-gate unchanged. Passes that track per-rewrite
+  /// provenance fill PassStats::rewrites / detail; `stats` arrives with
+  /// the name/gates_before/depth_before fields already filled.
+  [[nodiscard]] virtual std::optional<Network> rewrite(
+      const Network& net, const PassOptions& opts, PassStats& stats) const = 0;
 
-  /// Stats-reporting variant the PassManager calls: passes that track
-  /// per-rewrite provenance (PassStats::rewrites / detail) override this;
-  /// the default forwards to the plain run(). `stats` arrives with the
-  /// name/gates_before/depth_before fields already filled.
-  [[nodiscard]] virtual Network run(const Network& net,
-                                    const PassOptions& opts,
-                                    PassStats& stats) const {
-    (void)stats;
-    return run(net, opts);
-  }
+  /// rewrite() for direct callers: the rewritten network, or a copy of
+  /// `net` when the pass leaves it unchanged.
+  [[nodiscard]] Network run(const Network& net, const PassOptions& opts) const;
+};
+
+/// What PassManager::rewrite() returns: one PassStats per configured pass
+/// (including skipped ones), in execution order, and the rewritten
+/// network — std::nullopt when every pass left its input unchanged, so
+/// the caller's network is the result.
+struct PipelineRewrite {
+  std::optional<Network> network;
+  std::vector<PassStats> passes;
 };
 
 /// The result of a pipeline run: the rewritten network plus one PassStats
@@ -136,6 +145,13 @@ class PassManager {
   PassManager& add(std::unique_ptr<Pass> pass);
   [[nodiscard]] std::size_t size() const { return passes_.size(); }
 
+  /// The pass loop. A pass that reports "unchanged" costs no copy; a pass
+  /// that rewrites hands its network to the next one by move.
+  [[nodiscard]] PipelineRewrite rewrite(const Network& net,
+                                        const PassOptions& opts = {}) const;
+
+  /// rewrite(), with the input copied into PipelineResult::network when
+  /// no pass changed it.
   [[nodiscard]] PipelineResult run(const Network& net,
                                    const PassOptions& opts = {}) const;
 

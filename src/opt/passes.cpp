@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
 
 #include "opt/expand.h"
 #include "verify/fast_zero_one.h"
@@ -21,6 +23,18 @@ Network rebuild_filtered(const Network& net, const std::vector<char>& keep) {
       {net.output_order().begin(), net.output_order().end()});
 }
 
+/// Stable counting sort of `items` by key(item) in [0, buckets).
+template <class Key>
+std::vector<std::uint32_t> counting_sort(std::span<const std::uint32_t> items,
+                                         std::size_t buckets, Key key) {
+  std::vector<std::uint32_t> start(buckets + 1, 0);
+  for (const std::uint32_t x : items) start[key(x) + 1] += 1;
+  for (std::size_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
+  std::vector<std::uint32_t> out(items.size());
+  for (const std::uint32_t x : items) out[start[key(x)]++] = x;
+  return out;
+}
+
 class RelayerPass final : public Pass {
  public:
   [[nodiscard]] std::string_view name() const override { return "relayer"; }
@@ -30,26 +44,35 @@ class RelayerPass final : public Pass {
     return true;
   }
 
-  [[nodiscard]] Network run(const Network& net,
-                            const PassOptions&) const override {
-    // Within one ASAP layer gates touch disjoint wires, so their minimum
-    // wire ids are distinct and give a stable canonical order; appending
-    // layer-major preserves every cross-layer wire dependency.
-    NetworkBuilder b(net.width());
-    for (const auto& layer : net.layers()) {
-      std::vector<std::pair<Wire, std::size_t>> order;
-      order.reserve(layer.size());
-      for (const std::size_t gi : layer) {
-        const auto ws = net.gate_wires(gi);
-        order.emplace_back(*std::min_element(ws.begin(), ws.end()), gi);
-      }
-      std::sort(order.begin(), order.end());
-      for (const auto& [min_wire, gi] : order) {
-        b.add_balancer(net.gate_wires(gi));
-      }
+  [[nodiscard]] std::optional<Network> rewrite(
+      const Network& net, const PassOptions&, PassStats&) const override {
+    // Canonical order is (layer, minimum wire). Within one ASAP layer gates
+    // touch disjoint wires, so their minimum wires are distinct and the
+    // order is total; layer-major order keeps every cross-layer wire
+    // dependency, so the layers themselves never change.
+    const auto gates = net.gates();
+    std::vector<std::uint32_t> min_wire(gates.size());
+    bool canonical = true;
+    for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+      const auto ws = net.gate_wires(gates[gi]);
+      min_wire[gi] = static_cast<std::uint32_t>(
+          *std::min_element(ws.begin(), ws.end()));
+      canonical = canonical &&
+                  (gi == 0 || gates[gi].layer > gates[gi - 1].layer ||
+                   (gates[gi].layer == gates[gi - 1].layer &&
+                    min_wire[gi] > min_wire[gi - 1]));
     }
-    return std::move(b).finish(
-        {net.output_order().begin(), net.output_order().end()});
+    if (canonical) return std::nullopt;
+    // Radix sort on (layer, minimum wire): bucket by minimum wire, then
+    // stably by layer.
+    std::vector<std::uint32_t> order(gates.size());
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    order = counting_sort(order, net.width(),
+                          [&](std::uint32_t gi) { return min_wire[gi]; });
+    order = counting_sort(order, net.depth(), [&](std::uint32_t gi) {
+      return gates[gi].layer - 1;
+    });
+    return net.permuted(order);
   }
 };
 
@@ -64,11 +87,12 @@ class DedupAdjacentPass final : public Pass {
     return net.gate_count() >= 2;
   }
 
-  [[nodiscard]] Network run(const Network& net,
-                            const PassOptions&) const override {
+  [[nodiscard]] std::optional<Network> rewrite(
+      const Network& net, const PassOptions&, PassStats&) const override {
     constexpr std::int64_t kNone = -1;
     std::vector<std::int64_t> last_toucher(net.width(), kNone);
     std::vector<char> keep(net.gate_count(), 1);
+    bool dropped = false;
     for (std::size_t gi = 0; gi < net.gate_count(); ++gi) {
       const auto ws = net.gate_wires(gi);
       const std::int64_t prev =
@@ -89,6 +113,7 @@ class DedupAdjacentPass final : public Pass {
         // Dropped gates do not update last_toucher, so runs of three or
         // more identical gates collapse to one.
         keep[gi] = 0;
+        dropped = true;
         continue;
       }
       for (const Wire w : ws) {
@@ -96,6 +121,7 @@ class DedupAdjacentPass final : public Pass {
             static_cast<std::int64_t>(gi);
       }
     }
+    if (!dropped) return std::nullopt;
     return rebuild_filtered(net, keep);
   }
 };
@@ -113,12 +139,15 @@ class ZeroOneElimPass final : public Pass {
            net.width() <= std::min<std::size_t>(opts.zero_one_width_cap, 26);
   }
 
-  [[nodiscard]] Network run(const Network& net,
-                            const PassOptions&) const override {
+  [[nodiscard]] std::optional<Network> rewrite(
+      const Network& net, const PassOptions&, PassStats&) const override {
     // A gate that is the identity on every 0-1 input changes no wire on any
     // input, so all such gates are simultaneously removable: deleting one
     // leaves every evaluation trace bit-identical, keeping the rest noops.
     const std::vector<bool> noop = zero_one_noop_gates(net);
+    if (std::find(noop.begin(), noop.end(), true) == noop.end()) {
+      return std::nullopt;
+    }
     std::vector<char> keep(net.gate_count(), 1);
     for (std::size_t gi = 0; gi < noop.size(); ++gi) {
       if (noop[gi]) keep[gi] = 0;
@@ -141,8 +170,10 @@ class ExpandWideGatesPass final : public Pass {
 
   [[nodiscard]] bool never_increases_depth() const override { return false; }
 
-  [[nodiscard]] Network run(const Network& net,
-                            const PassOptions&) const override {
+  [[nodiscard]] std::optional<Network> rewrite(
+      const Network& net, const PassOptions&, PassStats&) const override {
+    // applicable() admits only networks with a gate wider than 2, so the
+    // expansion always rewrites.
     NetworkBuilder b(net.width());
     std::vector<Wire> ce;
     for (std::size_t gi = 0; gi < net.gate_count(); ++gi) {

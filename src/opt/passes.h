@@ -8,13 +8,13 @@
 
 namespace scn {
 
-/// "relayer" — recomputes ASAP layers and rewrites the gate stream in
-/// canonical (layer-major, min-wire within layer) order. Semantics-free:
+/// "relayer" — permutes the gate stream into canonical (layer-major,
+/// min-wire within layer) order (Network::permuted). Semantics-free:
 /// gates within a layer touch disjoint wires and commute; cross-layer
-/// dependency order is preserved. Never increases depth, and after a
-/// gate-removing pass it packs the survivors into the minimum layer count.
-/// Idempotent; gives structurally identical networks identical gate
-/// streams.
+/// dependency order is preserved, so every gate keeps its ASAP layer and
+/// depth is unchanged. Reports a network already in canonical order as
+/// unchanged. Idempotent; gives structurally identical networks identical
+/// gate streams.
 [[nodiscard]] std::unique_ptr<Pass> make_relayer_pass();
 
 /// "dedup-adjacent" — removes a gate whose listed wire sequence is

@@ -274,14 +274,9 @@ class PeepholeOptimalPass final : public Pass {
     return opts.semantics == Semantics::kComparator && net.gate_count() >= 2;
   }
 
-  [[nodiscard]] Network run(const Network& net,
-                            const PassOptions& opts) const override {
-    PassStats ignored;
-    return run(net, opts, ignored);
-  }
-
-  [[nodiscard]] Network run(const Network& net, const PassOptions&,
-                            PassStats& stats) const override {
+  [[nodiscard]] std::optional<Network> rewrite(
+      const Network& net, const PassOptions&,
+      PassStats& stats) const override {
     std::vector<Candidate> cands = collect_candidates(net);
     // Prefer the widest blocks (a whole-network rewrite subsumes its
     // sub-blocks), closed over open, earliest first; claims keep the
@@ -364,7 +359,7 @@ class PeepholeOptimalPass final : public Pass {
       for (const std::size_t gi : cand.gates) claimed[gi] = 1;
       rewrites.push_back(std::move(rw));
     }
-    if (rewrites.empty()) return net;
+    if (rewrites.empty()) return std::nullopt;
 
     NetworkBuilder b(net.width());
     std::vector<std::ptrdiff_t> starts_at(net.gate_count(), -1);
@@ -384,7 +379,7 @@ class PeepholeOptimalPass final : public Pass {
         {net.output_order().begin(), net.output_order().end()});
     // Belt and braces for the depth contract: the per-candidate gating
     // above proves this cannot trigger.
-    if (rewritten.depth() > net.depth()) return net;
+    if (rewritten.depth() > net.depth()) return std::nullopt;
 
     stats.rewrites = rewrites.size();
     std::ostringstream detail;

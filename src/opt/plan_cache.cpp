@@ -129,13 +129,14 @@ CachedPlan PlanCache::compiled(const Network& net, PassLevel level,
   // Miss: optimize + lower under the lock. Compilation is O(gates +
   // endpoints); serializing it avoids duplicate work when many threads
   // race for the same network, which is the common shape (one network,
-  // many evaluators).
+  // many evaluators). When every pass reports "unchanged", the plan
+  // lowers straight from the caller's network: no copy of it is made.
   impl_->misses->add(1);
-  PipelineResult optimized = optimize_network(net, level, opts);
+  PipelineRewrite optimized = make_pass_pipeline(level).rewrite(net, opts);
   Entry entry;
   entry.key = key;
   entry.plan = std::make_shared<const ExecutionPlan>(
-      compile_plan(optimized.network));
+      compile_plan(optimized.network ? *optimized.network : net));
   entry.passes = std::make_shared<const std::vector<PassStats>>(
       std::move(optimized.passes));
   impl_->lru.push_front(std::move(entry));

@@ -19,6 +19,12 @@ struct MParam {
   StaircaseVariant variant;
 };
 
+// Names the parameter by its fields: gtest's default would print the raw
+// bytes of the struct, the factor vector's heap pointers included.
+void PrintTo(const MParam& m, std::ostream* os) {
+  *os << ::testing::PrintToString(m.factors) << " " << to_string(m.variant);
+}
+
 std::vector<MParam> shapes() {
   std::vector<MParam> out;
   for (const Factors& f :

@@ -114,6 +114,10 @@ struct Golden {
   std::uint64_t hash;
 };
 
+// Names the parameter by its spec: gtest's default would print the raw
+// bytes of the struct, whose spec pointer differs from build to build.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.spec; }
+
 // Captured from the pre-refactor build (commit 17ec6b7 tree + planner PR).
 constexpr Golden kGoldens[] = {
     {"K 2x2", 0x09b6f9528cd4ecc5ull},

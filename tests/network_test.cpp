@@ -135,6 +135,38 @@ TEST(Network, ValidateRejectsBadOutputOrder) {
   }
 }
 
+TEST(Network, PermutedKeepsLayersOutputOrderAndHash) {
+  NetworkBuilder b(4);
+  b.add_balancer({2, 3});
+  b.add_balancer({0, 1});
+  b.add_balancer({1, 2});
+  const Network net = std::move(b).finish({3, 1, 2, 0});
+  const std::uint64_t hash = net.structural_hash();
+  const std::vector<std::uint32_t> order = {1, 0, 2};
+  const Network out = net.permuted(order);
+  EXPECT_EQ(out.validate(), "");
+  EXPECT_EQ(out.depth(), net.depth());
+  EXPECT_EQ(out.gate_wires(0)[0], 0);
+  EXPECT_EQ(out.gate_wires(1)[0], 2);
+  EXPECT_EQ(out.output_position(3), 0u);
+  EXPECT_EQ(out.structural_hash(), hash);
+}
+
+TEST(Network, PermutedRejectsBadOrders) {
+  if (!builder_checks_enabled()) GTEST_SKIP() << "assert-only build";
+  NetworkBuilder b(3);
+  b.add_balancer({0, 1});
+  b.add_balancer({1, 2});
+  const Network net = std::move(b).finish_identity();
+  // Wrong length, a repeated gate, an out-of-range gate, and an order
+  // that lists the layer-2 gate first.
+  for (const std::vector<std::uint32_t>& order :
+       std::vector<std::vector<std::uint32_t>>{
+           {0}, {0, 0}, {0, 2}, {1, 0}}) {
+    EXPECT_THROW((void)net.permuted(order), std::invalid_argument);
+  }
+}
+
 TEST(LinkedNetwork, FollowsWireChains) {
   // wire layout:   g0 spans {0,1}; g1 spans {1,2}; wire 0 then exits.
   NetworkBuilder b(3);

@@ -6,19 +6,24 @@
 // on the original network vs compiled plan on the optimized one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <sstream>
 
 #include "baseline/batcher.h"
 #include "baseline/bitonic.h"
 #include "baseline/bubble.h"
+#include "core/family.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
 #include "engine/backend.h"
+#include "engine/execution_plan.h"
 #include "net/serialize.h"
 #include "net/transform.h"
 #include "opt/pass.h"
 #include "opt/passes.h"
 #include "opt/plan_cache.h"
+#include "runtime/runtime.h"
 #include "seq/generators.h"
 #include "sim/comparator_sim.h"
 #include "sim/count_sim.h"
@@ -59,6 +64,51 @@ void expect_counting_equivalent(const Network& a, const Network& b) {
       ASSERT_EQ(output_counts(a, in), output_counts(b, in));
     }
   }
+}
+
+/// The relayer as first written, kept as the oracle: it rebuilds the
+/// layer-major, minimum-wire-ordered gate stream through a NetworkBuilder,
+/// which recomputes every layer. The shipped relayer permutes the gates
+/// instead and must reproduce this output gate for gate.
+Network builder_relayer(const Network& net) {
+  NetworkBuilder b(net.width());
+  for (const auto& layer : net.layers()) {
+    std::vector<std::pair<Wire, std::size_t>> order;
+    order.reserve(layer.size());
+    for (const std::size_t gi : layer) {
+      const auto ws = net.gate_wires(gi);
+      order.emplace_back(*std::min_element(ws.begin(), ws.end()), gi);
+    }
+    std::sort(order.begin(), order.end());
+    for (const auto& [min_wire, gi] : order) {
+      b.add_balancer(net.gate_wires(gi));
+    }
+  }
+  return std::move(b).finish(
+      {net.output_order().begin(), net.output_order().end()});
+}
+
+/// The default pipeline with builder_relayer in both relayer slots.
+Network builder_default_pipeline(const Network& net, const PassOptions& opts) {
+  Network out = builder_relayer(net);
+  out = make_dedup_adjacent_pass()->run(out, opts);
+  const auto zero_one = make_zero_one_elim_pass();
+  if (zero_one->applicable(out, opts)) out = zero_one->run(out, opts);
+  return builder_relayer(out);
+}
+
+/// Gate-for-gate identity: same gates in the same order (listed wires and
+/// layers), same depth and same logical output order.
+void expect_same_gates(const Network& a, const Network& b) {
+  ASSERT_EQ(a.width(), b.width());
+  ASSERT_EQ(a.gate_count(), b.gate_count());
+  EXPECT_EQ(a.depth(), b.depth());
+  for (std::size_t gi = 0; gi < a.gate_count(); ++gi) {
+    ASSERT_EQ(a.gates()[gi].layer, b.gates()[gi].layer) << "gate " << gi;
+    ASSERT_TRUE(std::ranges::equal(a.gate_wires(gi), b.gate_wires(gi)))
+        << "gate " << gi;
+  }
+  EXPECT_TRUE(std::ranges::equal(a.output_order(), b.output_order()));
 }
 
 TEST(RelayerPass, PreservesBothSemanticsAndIsIdempotent) {
@@ -232,8 +282,143 @@ TEST(Pipeline, LevelParsingRoundTrips) {
   EXPECT_STREQ(to_string(Semantics::kBalancer), "balancer");
 }
 
+TEST(DedupAdjacentPass, ReportsUnchangedWhenNothingRepeats) {
+  const Network net = make_bubble_network(6);
+  PassStats stats;
+  EXPECT_FALSE(make_dedup_adjacent_pass()->rewrite(net, {}, stats));
+  EXPECT_FALSE(make_zero_one_elim_pass()->rewrite(
+      net, PassOptions{.semantics = Semantics::kComparator}, stats));
+}
+
+TEST(RelayerPass, ReportsUnchangedOnCanonicalOrderAndKeepsTheHash) {
+  NetworkBuilder b(6);
+  b.add_balancer({4, 5});
+  b.add_balancer({0, 1});
+  b.add_balancer({1, 2});
+  const Network net = std::move(b).finish({5, 4, 3, 2, 1, 0});
+  const std::uint64_t hash = net.structural_hash();
+  const auto pass = make_relayer_pass();
+  PassStats stats;
+  const std::optional<Network> once = pass->rewrite(net, {}, stats);
+  ASSERT_TRUE(once.has_value());
+  EXPECT_EQ(once->structural_hash(), hash);
+  expect_same_gates(*once, builder_relayer(net));
+  EXPECT_FALSE(pass->rewrite(*once, {}, stats).has_value());
+}
+
+TEST(Pipeline, NoRewriteReportsEqualCountsAndReturnsNoNetwork) {
+  // The default pipeline's output is canonical, free of adjacent
+  // duplicates and, for comparators, of dead gates: a second run rewrites
+  // nothing, and every pass still reports itself applied.
+  const Network net = make_l_network({2, 3, 2});
+  const PassOptions opts{.semantics = Semantics::kComparator};
+  const Network once = optimize_network(net, PassLevel::kDefault, opts).network;
+  const PipelineRewrite again =
+      make_pass_pipeline(PassLevel::kDefault).rewrite(once, opts);
+  EXPECT_FALSE(again.network.has_value());
+  ASSERT_EQ(again.passes.size(), 4u);
+  for (const PassStats& s : again.passes) {
+    EXPECT_TRUE(s.applied) << s.name;
+    EXPECT_EQ(s.gates_before, once.gate_count()) << s.name;
+    EXPECT_EQ(s.gates_after, s.gates_before) << s.name;
+    EXPECT_EQ(s.depth_after, s.depth_before) << s.name;
+  }
+  // optimize_network still hands back a filled network.
+  expect_same_gates(optimize_network(once, PassLevel::kDefault, opts).network,
+                    once);
+}
+
+TEST(Pipeline, RedundantComparatorNetworkMatchesTheBuilderOracle) {
+  // zero-one-elim rewrites here: the bubble pass after a full sorter is
+  // dead on every 0-1 input.
+  const Network composed =
+      compose(make_batcher_network(8), make_bubble_network(8));
+  const PassOptions opts{.semantics = Semantics::kComparator};
+  const PipelineResult result =
+      optimize_network(composed, PassLevel::kDefault, opts);
+  ASSERT_TRUE(result.passes[2].applied);
+  EXPECT_LT(result.passes[2].gates_after, result.passes[2].gates_before);
+  const Network oracle = builder_default_pipeline(composed, opts);
+  expect_same_gates(result.network, oracle);
+  PlanCache cache(4);
+  EXPECT_TRUE(*cache.compiled(composed, PassLevel::kDefault, opts).plan ==
+              compile_plan(oracle));
+}
+
+/// One member of the paper's K/L families: kind, width, comparator cap.
+struct Member {
+  NetworkKind kind;
+  std::size_t width;
+  std::size_t cap;
+};
+
+void PrintTo(const Member& m, std::ostream* os) {
+  *os << to_string(m.kind) << m.width << "_cap" << m.cap;
+}
+
+class RelayerIdentity : public ::testing::TestWithParam<Member> {};
+
+TEST_P(RelayerIdentity, PermutationMatchesBuilderOracleAndPlansAgree) {
+  const Member m = GetParam();
+  Runtime rt;
+  const Network net = make_network_for_width(m.width, m.cap, m.kind, rt);
+  const std::uint64_t hash = net.structural_hash();
+
+  const Network relayed = make_relayer_pass()->run(net, {});
+  expect_same_gates(relayed, builder_relayer(net));
+  EXPECT_EQ(relayed.structural_hash(), hash);
+
+  // The plan the cache compiles equals the plan of the builder-based
+  // pipeline, under both semantics.
+  for (const Semantics semantics :
+       {Semantics::kComparator, Semantics::kBalancer}) {
+    const PassOptions opts{.semantics = semantics};
+    const PipelineResult result =
+        optimize_network(net, PassLevel::kDefault, opts);
+    const Network oracle = builder_default_pipeline(net, opts);
+    expect_same_gates(result.network, oracle);
+    PlanCache cache(4);
+    EXPECT_TRUE(*cache.compiled(net, PassLevel::kDefault, opts).plan ==
+                compile_plan(oracle))
+        << to_string(semantics);
+  }
+}
+
+// Includes the networks of the repo benchmark's engine workloads: K(64),
+// L(720) and L(4096) at cap 8.
+std::vector<Member> relayer_members() {
+  constexpr std::size_t kWidths[] = {6, 12, 24, 64, 96, 120, 720, 4096};
+  constexpr std::size_t kCaps[] = {2, 4, 8};
+  std::vector<Member> out;
+  for (const NetworkKind kind : {NetworkKind::kK, NetworkKind::kL}) {
+    for (const std::size_t width : kWidths) {
+      for (const std::size_t cap : kCaps) out.push_back({kind, width, cap});
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(KAndLMembers, RelayerIdentity,
+                         ::testing::ValuesIn(relayer_members()),
+                         [](const auto& param_info) {
+                           std::ostringstream name;
+                           PrintTo(param_info.param, &name);
+                           return name.str();
+                         });
+
+TEST(Pipeline, DedupRewritesL720AndMatchesTheBuilderOracle) {
+  Runtime rt;
+  const Network net = make_network_for_width(720, 8, NetworkKind::kL, rt);
+  const PassOptions opts{.semantics = Semantics::kComparator};
+  const PipelineResult result = optimize_network(net, PassLevel::kDefault, opts);
+  ASSERT_EQ(result.passes[1].name, "dedup-adjacent");
+  EXPECT_EQ(result.passes[1].gates_before, 15944u);
+  EXPECT_EQ(result.passes[1].gates_after, 15920u);
+  expect_same_gates(result.network, builder_default_pipeline(net, opts));
+}
+
 class CrossEngineAgreement
-    : public ::testing::TestWithParam<std::tuple<const char*, PassLevel>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, PassLevel>> {};
 
 TEST_P(CrossEngineAgreement, InterpreterOnOriginalEqualsPlanOnOptimized) {
   const auto [kind, level] = GetParam();

@@ -9,12 +9,17 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/batcher.h"
 #include "baseline/bitonic.h"
+#include "baseline/bubble.h"
+#include "core/family.h"
 #include "core/k_network.h"
 #include "core/l_network.h"
 #include "engine/backend.h"
+#include "engine/execution_plan.h"
 #include "net/network.h"
 #include "net/serialize.h"
+#include "net/transform.h"
 #include "obs/metrics.h"
 #include "opt/plan_cache.h"
 #include "perf/thread_pool.h"
@@ -242,6 +247,50 @@ TEST(PlanCache, CachedPlanMatchesInterpreterOnEveryLevel) {
       ASSERT_EQ(comparator_output_counts(net, in),
                 engine::run(*cached.plan, Semantics::kComparator, in))
           << to_string(level);
+    }
+  }
+}
+
+TEST(PlanCache, PlanEqualsCompiledPipelineOutputFieldByField) {
+  // The cache compiles the caller's network when no pass rewrites it, and
+  // the pipeline's network otherwise; either way its plan is the plan of
+  // optimize_network's output, and its provenance is the same.
+  Runtime rt;
+  std::vector<Network> nets;
+  nets.push_back(make_network_for_width(64, 8, NetworkKind::kK, rt));
+  nets.push_back(make_network_for_width(720, 8, NetworkKind::kL, rt));
+  nets.push_back(make_l_network({2, 3, 2}));
+  nets.push_back(compose(make_batcher_network(8), make_bubble_network(8)));
+  // Already optimized: every pass of the default pipeline leaves it as is.
+  nets.push_back(optimize_network(make_l_network({2, 3, 2}),
+                                  PassLevel::kDefault)
+                     .network);
+  for (const Network& net : nets) {
+    for (const PassLevel level :
+         {PassLevel::kNone, PassLevel::kDefault, PassLevel::kAggressive,
+          PassLevel::kOptimal}) {
+      for (const Semantics semantics :
+           {Semantics::kComparator, Semantics::kBalancer}) {
+        const PassOptions opts{.semantics = semantics};
+        PlanCache cache(4);
+        const CachedPlan cached = cache.compiled(net, level, opts);
+        const PipelineResult expected = optimize_network(net, level, opts);
+        EXPECT_TRUE(*cached.plan == compile_plan(expected.network))
+            << "width " << net.width() << " " << to_string(level) << " "
+            << to_string(semantics);
+        ASSERT_EQ(cached.passes->size(), expected.passes.size());
+        for (std::size_t i = 0; i < expected.passes.size(); ++i) {
+          const PassStats& got = (*cached.passes)[i];
+          const PassStats& want = expected.passes[i];
+          EXPECT_EQ(got.name, want.name);
+          EXPECT_EQ(got.applied, want.applied);
+          EXPECT_EQ(got.gates_before, want.gates_before);
+          EXPECT_EQ(got.gates_after, want.gates_after);
+          EXPECT_EQ(got.depth_before, want.depth_before);
+          EXPECT_EQ(got.depth_after, want.depth_after);
+          EXPECT_EQ(got.rewrites, want.rewrites);
+        }
+      }
     }
   }
 }

@@ -71,6 +71,10 @@ struct BadCase {
   const char* text;
 };
 
+// Names the parameter by its case name: gtest's default would print the
+// two pointers, which differ from run to run.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class SerializeErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(SerializeErrors, Rejected) {

@@ -20,6 +20,13 @@ struct SParam {
   StaircaseVariant variant;
 };
 
+// Names the parameter by its fields: gtest's default would print the raw
+// bytes of the struct, padding included.
+void PrintTo(const SParam& s, std::ostream* os) {
+  *os << "r=" << s.r << " p=" << s.p << " q=" << s.q << " "
+      << to_string(s.variant);
+}
+
 std::vector<SParam> all_shapes() {
   std::vector<SParam> out;
   for (const auto& [r, p, q] :

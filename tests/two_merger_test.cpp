@@ -2,6 +2,8 @@
 // depth 2 (3 capped), structure and degenerate handling.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/two_merger.h"
 #include "seq/generators.h"
 #include "sim/count_sim.h"
@@ -27,6 +29,13 @@ struct TParam {
   std::size_t p, q0, q1;
   bool capped;
 };
+
+// Names the parameter by its fields: gtest's default would print the raw
+// bytes of the struct, padding included, which differ from run to run.
+void PrintTo(const TParam& t, std::ostream* os) {
+  *os << "p=" << t.p << " q0=" << t.q0 << " q1=" << t.q1
+      << (t.capped ? " capped" : "");
+}
 
 class TwoMergerSuite : public ::testing::TestWithParam<TParam> {};
 
